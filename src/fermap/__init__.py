@@ -21,7 +21,7 @@ from .mapping import (
     validate,
     weight_stats,
 )
-from .pauli import PauliString, ProductState, UnsignedPauli
+from .pauli import PauliString, ProductState
 from .ttree import (
     TernaryTree,
     braided_real_pairing,
@@ -45,7 +45,6 @@ __all__ = [
     "Singular",
     "StabiliserTableau",
     "TernaryTree",
-    "UnsignedPauli",
     "affine_to_linear",
     "braided_real_pairing",
     "canonical_mapping",

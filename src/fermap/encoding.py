@@ -3,8 +3,8 @@
 An affine encoding sends occupation vector f to the computational basis
 state |G(f xor b)> for an invertible binary matrix G and offset b.  This
 module builds the stabiliser tableau of the encoding Clifford, the exact
-Pauli representations of its Majorana operators, detects whether a given
-mapping is such an encoding, and reduces affine encodings to linear ones
+Pauli representations of its Majorana operators, decides exactly whether a
+given mapping is such an encoding, and reduces affine encodings to linear ones
 (which differ only in operator signs).
 """
 
@@ -128,39 +128,45 @@ def majoranas_of_affine(enc: AffineEncoding) -> FermionQubitMapping:
     G_{2i}   = (-1)^{b_0+..+b_{i-1}} X_{U(i)} Z_{P(i)}
     G_{2i+1} = i (-1)^{b_0+..+b_i}   X_{U(i)} Z_{R(i)}
 
-    For b = 0 this is the linear-encoding formula; the vacuum is |G b>.
+    with the update, flip, parity and remainder sets of ``gf2.ufpr_sets``,
+    all read from one inverse.  For b = 0 this is the linear-encoding
+    formula; the vacuum is |G b>.
     """
     n = enc.n
+    ginv = gf2.invert(enc.g)
+    u_masks = enc.g.transpose().rows  # U(i) is column i of G
     pairs = []
+    p_mask = 0  # P(i) = F(0) xor .. xor F(i-1), F(k) = row k of G^-1
     prefix = 0  # running parity of b_0..b_{i-1}
     for i in range(n):
-        u, _f, p_set, r_set = gf2.ufpr_sets(enc.g, i)
-        u_mask = _mask(u)
         bi = (enc.b >> i) & 1
-        even = PauliString(n, u_mask, _mask(p_set), 2 * prefix)
-        odd = PauliString(n, u_mask, _mask(r_set), 1 + 2 * ((prefix + bi) % 2))
+        even = PauliString(n, u_masks[i], p_mask, 2 * prefix)
+        odd = PauliString(n, u_masks[i], p_mask ^ ginv.rows[i], 1 + 2 * (prefix ^ bi))
         pairs.append((even, odd))
-        prefix = (prefix + bi) % 2
+        p_mask ^= ginv.rows[i]
+        prefix ^= bi
     return FermionQubitMapping(n, tuple(pairs))
 
 
-def _mask(indices) -> int:
-    out = 0
-    for j in indices:
-        out |= 1 << j
-    return out
+def flip_matrix(m: FermionQubitMapping) -> BinMatrix:
+    """G with column i the X/Y support of the even Majorana of mode i."""
+    return BinMatrix(m.n, tuple(a.x for a, _ in m.pairs)).transpose()
 
 
-def detect_classical(
-    m: FermionQubitMapping, extra_samples: int | None = None, seed: int = 0
-) -> AffineEncoding | NotClassical:
-    """Decide whether m classically encodes the Fock basis; recover (G, b).
+def detect_classical(m: FermionQubitMapping) -> AffineEncoding | NotClassical:
+    """Decide exactly whether m classically encodes the Fock basis; recover (G, b).
 
-    The symbolic vacuum must be a plain computational basis state |q>.
-    Candidate G is read off the X/Y supports of the even Majoranas and
-    b = G^-1 q; the n+1 states {vacuum, single excitations} are then
-    verified symbolically along with a seeded sample of multi-excitation
-    vectors (2n by default).
+    The symbolic vacuum must be a plain computational basis state |q>;
+    G is the flip matrix and b = G^-1 q.  Writing the even Majorana of
+    mode i as i^k_i X^x_i Z^z_i, every Fock state is i^phi(f) |G(f xor b)>
+    with
+
+        phi(f) = sum_i f_i a_i + 2 sum_{i<j} f_i f_j c_ij  (mod 4),
+        a_i = k_i + 2 |z_i & q|,  c_ij = |z_i & x_j| mod 2,
+
+    so the encoding is classical exactly when every a_i = 0 mod 4 and
+    every c_ij = 0.  The witness is e_i for the first bad a_i, else
+    e_i + e_j for the first bad c_ij.
     """
     vac = fqm.vacuum_state(m)
     if isinstance(vac, fqm.NonProduct):
@@ -169,31 +175,29 @@ def detect_classical(
         return NotClassical("vacuum is a product state outside the computational basis", 0, vac)
     q = vac.bits()
 
-    cols = [m.pairs[i][0].x for i in range(m.n)]  # X/Y support of G_{2i}
-    g = BinMatrix(m.n, tuple(cols)).transpose()  # column i = flip pattern of mode i
+    g = flip_matrix(m)
     try:
         ginv = gf2.invert(g)
     except gf2.Singular:
         return NotClassical("excitation flip patterns are not linearly independent")
-    b = gf2.mat_vec(ginv, q)
-    enc = AffineEncoding(g, b)
+    f = _phase_witness(m, g, q)
+    if f is not None:
+        return NotClassical("Fock state outside the +1 computational basis", f, fqm.fock_state(m, f))
+    return AffineEncoding(g, gf2.mat_vec(ginv, q))
 
-    probes = [0] + [1 << j for j in range(m.n)]
-    if extra_samples is None:
-        extra_samples = 2 * m.n
-    if m.n > 1:
-        import random
 
-        rng = random.Random(seed)
-        for _ in range(extra_samples):
-            probes.append(rng.randrange(1 << m.n))
-    for f in probes:
-        state = fqm.fock_state(m, f)
-        if state.phase != 0 or not state.is_computational():
-            return NotClassical("Fock state outside the +1 computational basis", f, state)
-        if state.bits() != gf2.mat_vec(enc.g, f ^ enc.b):
-            return NotClassical("Fock state disagrees with the affine law", f, state)
-    return enc
+def _phase_witness(m: FermionQubitMapping, g: BinMatrix, q: int) -> int | None:
+    """First f with phi(f) != 0 mod 4 (see detect_classical), or None."""
+    evens = [a for a, _ in m.pairs]
+    for i, a in enumerate(evens):
+        if (a.phase + 2 * (a.z & q).bit_count()) % 4:
+            return 1 << i
+    gt = g.transpose()  # row j is x_j, so bit j of G^T z_i is c_ij
+    for i, a in enumerate(evens):
+        later = gf2.mat_vec(gt, a.z) >> (i + 1)
+        if later:
+            return (1 << i) | ((later & -later) << (i + 1))
+    return None
 
 
 def affine_to_linear(

@@ -17,16 +17,14 @@ from enum import Enum
 from typing import Union
 
 from . import pauli
-from .mapping import FermionQubitMapping, is_valid
-from .pauli import PauliString
-
-_LETTERS = ("X", "Y", "Z")
+from .mapping import FermionQubitMapping, validate
+from .pauli import LETTERS, PauliString
 
 _EVEN_PERMS = ({"X": "X", "Y": "Y", "Z": "Z"},
                {"X": "Y", "Y": "Z", "Z": "X"},
                {"X": "Z", "Y": "X", "Z": "Y"})
 _ALL_PERMS = tuple(
-    {"X": a, "Y": b, "Z": c} for a, b, c in itertools.permutations(_LETTERS)
+    {"X": a, "Y": b, "Z": c} for a, b, c in itertools.permutations(LETTERS)
 )
 
 
@@ -60,9 +58,9 @@ class LocalBasisChange:
 
     def __post_init__(self):
         letters = [ell for ell, _ in self.image]
-        if sorted(letters) != sorted(_LETTERS):
+        if sorted(letters) != sorted(LETTERS):
             raise ValueError("image letters must be a permutation of X, Y, Z")
-        rho = dict(zip(_LETTERS, letters))
+        rho = dict(zip(LETTERS, letters))
         sign_product = 1
         for _, s in self.image:
             if s not in (1, -1):
@@ -115,7 +113,7 @@ def _relabel_letters(p: PauliString, qubit: int, image) -> PauliString:
     ell = letters[qubit]
     if ell == "I":
         return p
-    new_letter, sign = image[_LETTERS.index(ell)]
+    new_letter, sign = image[LETTERS.index(ell)]
     letters[qubit] = new_letter
     extra = 2 if sign < 0 else 0
     return pauli.from_letters(letters, p.display_power() + extra)
@@ -285,13 +283,13 @@ def _build_witness(m1, m2, sigma, rhos, assignment) -> tuple[SymmetryOp, ...] | 
         ops.append(QubitSwap(tuple(sigma)))
     for q in range(m1.n):
         rho = _ALL_PERMS[rhos[q]]
-        if all(rho[ell] == ell for ell in _LETTERS):
+        if all(rho[ell] == ell for ell in LETTERS):
             continue
         if _perm_parity(rho) == 0:
-            image = tuple((rho[ell], 1) for ell in _LETTERS)
+            image = tuple((rho[ell], 1) for ell in LETTERS)
         else:
-            fixed = next(ell for ell in _LETTERS if rho[ell] == ell)
-            image = tuple((rho[ell], -1 if ell == fixed else 1) for ell in _LETTERS)
+            fixed = next(ell for ell in LETTERS if rho[ell] == ell)
+            image = tuple((rho[ell], -1 if ell == fixed else 1) for ell in LETTERS)
         ops.append(LocalBasisChange(q, image))  # type: ignore[arg-type]
     if tuple(assignment) != tuple(range(m1.n)):
         ops.append(FermionSwap(tuple(assignment)))
@@ -332,7 +330,7 @@ def classify_two_mode(m: FermionQubitMapping) -> TwoModeTemplate:
     """
     if m.n != 2:
         raise ValueError("two-mode classification needs n == 2")
-    if not is_valid(m):
+    if validate(m) is not None:
         raise ValueError("mapping does not satisfy the anticommutation relations")
     sig = tuple(sorted(tuple(sorted((a.weight(), b.weight()))) for a, b in m.pairs))
     if sig == ((1, 1), (2, 2)):
@@ -354,8 +352,8 @@ def two_mode_census() -> CensusResult:
     """Classify every ordered 4-tuple of anticommuting unsigned 2-qubit Paulis."""
     strings = [
         pauli.from_letters((a, b))
-        for a in ("I",) + _LETTERS
-        for b in ("I",) + _LETTERS
+        for a in ("I",) + LETTERS
+        for b in ("I",) + LETTERS
         if (a, b) != ("I", "I")
     ]
     counts = {t: 0 for t in TwoModeTemplate}
@@ -383,7 +381,7 @@ def format_ops(ops) -> str:
         elif isinstance(op, LocalBasisChange):
             img = " ".join(
                 f"{src}->{'-' if s < 0 else ''}{dst}"
-                for src, (dst, s) in zip(_LETTERS, op.image)
+                for src, (dst, s) in zip(LETTERS, op.image)
             )
             lines.append(f"basis-change {op.qubit} {img}")
         elif isinstance(op, PairBraid):
@@ -406,7 +404,7 @@ def parse_ops(text: str) -> tuple[SymmetryOp, ...]:
         head, *rest = line.split()
         if head == "qubit-swap":
             ops.append(QubitSwap(tuple(int(t) for t in rest)))
-        elif head == "basis-change":
+        elif head == "basis-change" and rest:
             qubit = int(rest[0])
             image = []
             for tok in rest[1:]:
@@ -414,12 +412,12 @@ def parse_ops(text: str) -> tuple[SymmetryOp, ...]:
                 sign = -1 if dst.startswith("-") else 1
                 image.append((dst.lstrip("-"), sign))
             ops.append(LocalBasisChange(qubit, tuple(image)))  # type: ignore[arg-type]
-        elif head == "pair-braid":
+        elif head == "pair-braid" and len(rest) == 2 and rest[1] in ("+", "-"):
             ops.append(PairBraid(int(rest[0]), 1 if rest[1] == "+" else -1))
-        elif head == "sign-change":
+        elif head == "sign-change" and len(rest) == 1:
             ops.append(SignChange(int(rest[0])))
         elif head == "fermion-swap":
             ops.append(FermionSwap(tuple(int(t) for t in rest)))
         else:
-            raise ValueError(f"unknown op line {line!r}")
+            raise ValueError(f"unknown or malformed op line {line!r}")
     return tuple(ops)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 from . import pauli
@@ -97,12 +96,6 @@ def validate(m: FermionQubitMapping) -> Violation | None:
             if not pauli.anticommutes(gammas[i], gammas[j]):
                 return Violation("anticommutation", i, j)
     return None
-
-
-@lru_cache(maxsize=4096)
-def is_valid(m: FermionQubitMapping) -> bool:
-    """Cached validation verdict; mappings are immutable so this is safe."""
-    return validate(m) is None
 
 
 def jordan_wigner(n: int) -> FermionQubitMapping:

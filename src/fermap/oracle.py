@@ -9,6 +9,7 @@ significant bit, so |f_0 f_1 ... f_{n-1}> sits at index sum f_j 2^{n-1-j}.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -20,6 +21,7 @@ if TYPE_CHECKING:  # pragma: no cover
     from .mapping import FermionQubitMapping
 
 TOL = 1e-9
+DENSE_LIMIT = 14  # largest n whose 2^n-amplitude vacuum the oracle builds
 
 # DenseState: 1-D complex array of length 2^n (or a (2^n, batch) column batch).
 DenseState = np.ndarray
@@ -178,8 +180,8 @@ def dense_vacuum(m: "FermionQubitMapping") -> DenseState:
     vectors in lexicographic order until a nonzero image appears; the global
     phase is fixed by making the first nonzero amplitude real positive.
     """
-    if m.n > 14:
-        raise ValueError("dense vacuum limited to n <= 14")
+    if m.n > DENSE_LIMIT:
+        raise ValueError(f"dense vacuum limited to n <= {DENSE_LIMIT}")
     dim = 1 << m.n
     for b in range(dim):
         psi = np.zeros(dim, dtype=complex)
@@ -240,15 +242,7 @@ def verify_fock_basis(
     subset instead.  Each |f_m> must be a ((-1)^{f_i})-eigenstate of the
     i-th vacuum stabilizer, and distinct f must give orthogonal states.
     """
-    subset: Sequence[int] | None = None
-    if sample is not None:
-        import random
-
-        rng = random.Random(seed)
-        subset = sorted({0} | {rng.randrange(1 << m.n) for _ in range(sample)})
-    elif m.n > 10:
-        raise ValueError("exhaustive Fock sweep limited to n <= 10; pass sample=")
-    states = dense_fock_states(m, subset)
+    states = dense_fock_states(m, _subset(m.n, sample, seed))
     for f, psi in states.items():
         for i, (a, b) in enumerate(m.pairs):
             spsi = -1j * apply_pauli(a, apply_pauli(b, psi))
@@ -276,45 +270,42 @@ def verify_fock_basis(
     return None
 
 
+def _subset(n: int, sample: int | None, seed: int) -> list[int] | None:
+    """A seeded sample of occupation vectors (always with 0), or None for all."""
+    if sample is None:
+        if n > 10:
+            raise ValueError("exhaustive dense sweep limited to n <= 10; pass sample=")
+        return None
+    rng = random.Random(seed)
+    return sorted({0} | {rng.randrange(1 << n) for _ in range(sample)})
+
+
 def verify_linear(
     m: "FermionQubitMapping", g, tol: float = TOL, sample: int | None = None, seed: int = 0
 ) -> FockReport | None:
     """Check |f_m> == |G f> with amplitude exactly +1 for every f."""
-    from . import gf2
-
-    subset: Sequence[int] | None = None
-    if sample is not None:
-        import random
-
-        rng = random.Random(seed)
-        subset = sorted({0} | {rng.randrange(1 << m.n) for _ in range(sample)})
-    elif m.n > 10:
-        raise ValueError("exhaustive linear check limited to n <= 10; pass sample=")
-    states = dense_fock_states(m, subset)
-    for f, psi in states.items():
-        target = bits_to_index(m.n, gf2.mat_vec(g, f))
-        expected = np.zeros_like(psi)
-        expected[target] = 1.0
-        dev = float(np.linalg.norm(psi - expected))
-        if dev > tol:
-            return FockReport("Fock state differs from |Gf>", f, dev)
-    return None
+    subset = _subset(m.n, sample, seed)
+    return _verify_encoded(m, g.rows, 0, tol, subset, "Fock state differs from |Gf>")
 
 
 def verify_affine(
     m: "FermionQubitMapping", enc, tol: float = TOL
 ) -> FockReport | None:
     """Check |f_m> == |G (f xor b)> with amplitude exactly +1 for every f."""
-    from . import gf2
+    reason = "Fock state differs from |G(f xor b)>"
+    return _verify_encoded(m, enc.g.rows, enc.b, tol, None, reason)
 
-    states = dense_fock_states(m)
-    for f, psi in states.items():
-        target = bits_to_index(m.n, gf2.mat_vec(enc.g, f ^ enc.b))
+
+def _verify_encoded(m, rows, b, tol, subset, reason) -> FockReport | None:
+    """Compare each dense |f_m> with the basis vector |G(f xor b)>, G given by rows."""
+    for f, psi in dense_fock_states(m, subset).items():
+        v = f ^ b
+        bits = sum(((row & v).bit_count() & 1) << i for i, row in enumerate(rows))
         expected = np.zeros_like(psi)
-        expected[target] = 1.0
+        expected[bits_to_index(m.n, bits)] = 1.0
         dev = float(np.linalg.norm(psi - expected))
         if dev > tol:
-            return FockReport("Fock state differs from |G(f xor b)>", f, dev)
+            return FockReport(reason, f, dev)
     return None
 
 

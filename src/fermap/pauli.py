@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-LETTERS = ("I", "X", "Y", "Z")
+LETTERS = ("X", "Y", "Z")  # the non-identity letters, in tree-edge order
 
 # display sign tokens, indexed by the power of i in front of the letter product
 SIGN_TOKENS = ("+1", "+i", "-1", "-i")
@@ -87,41 +87,11 @@ class PauliString:
     def times_i(self, k: int = 1) -> "PauliString":
         return PauliString(self.n, self.x, self.z, self.phase + k)
 
-    def unsigned(self) -> "UnsignedPauli":
-        return UnsignedPauli(self.n, self.x, self.z)
-
     def __mul__(self, other: "PauliString") -> "PauliString":
         return multiply(self, other)
 
     def __str__(self) -> str:
         return format_pauli(self)
-
-
-@dataclass(frozen=True)
-class UnsignedPauli:
-    """Coset representative of a Pauli string modulo phase."""
-
-    n: int
-    x: int
-    z: int
-
-    def letter(self, j: int) -> str:
-        xb = (self.x >> j) & 1
-        zb = (self.z >> j) & 1
-        return ("I", "X", "Z", "Y")[xb + 2 * zb]
-
-    def weight(self) -> int:
-        return (self.x | self.z).bit_count()
-
-    def y_count(self) -> int:
-        return (self.x & self.z).bit_count()
-
-    def signed(self) -> PauliString:
-        """The +1-coefficient representative (plain tensor product of letters)."""
-        return PauliString(self.n, self.x, self.z, self.y_count())
-
-    def __str__(self) -> str:
-        return format_pauli(self.signed())
 
 
 def identity(n: int) -> PauliString:
@@ -184,7 +154,7 @@ def multiply_all(factors: Iterable[PauliString], n: int | None = None) -> PauliS
     return out
 
 
-def anticommutes(p: PauliString | UnsignedPauli, q: PauliString | UnsignedPauli) -> bool:
+def anticommutes(p: PauliString, q: PauliString) -> bool:
     """Symplectic inner product (p.x . q.z + p.z . q.x) mod 2; phase-free."""
     if p.n != q.n:
         raise DimensionMismatch(f"{p.n}-qubit vs {q.n}-qubit string")

@@ -18,11 +18,11 @@ import random
 from dataclasses import dataclass
 
 from . import pauli
+from .encoding import flip_matrix
 from .gf2 import BinMatrix, invert
 from .mapping import FermionQubitMapping, NonProduct, vacuum_state
-from .pauli import PauliString, ProductState, UnsignedPauli
+from .pauli import LETTERS, PauliString, ProductState
 
-_LETTERS = ("X", "Y", "Z")
 _SLOT = {"X": 0, "Y": 1, "Z": 2}
 
 # ordered anticommuting pair (B, C) with -iBC stabilizing each eigenstate
@@ -116,7 +116,7 @@ def complete_tree(depth: int) -> TernaryTree:
         if d > 1:
             sub = (size - 1) // 3
             slots = {}
-            for k, letter in enumerate(_LETTERS):
+            for k, letter in enumerate(LETTERS):
                 slots[letter] = grow(d - 1, base + k * sub)
             children[root] = slots
         return root
@@ -132,30 +132,18 @@ def random_tree(n: int, seed: int) -> TernaryTree:
     order = list(range(n))
     rng.shuffle(order)
     children: dict[int, dict[str, int]] = {}
-    open_slots: list[tuple[int, str]] = [(order[0], ell) for ell in _LETTERS]
+    open_slots: list[tuple[int, str]] = [(order[0], ell) for ell in LETTERS]
     for v in order[1:]:
         k = rng.randrange(len(open_slots))
         parent, letter = open_slots.pop(k)
         children.setdefault(parent, {})[letter] = v
-        open_slots.extend((v, ell) for ell in _LETTERS)
+        open_slots.extend((v, ell) for ell in LETTERS)
     return build_tree(n, order[0], children)
 
 
 # -- path machinery -----------------------------------------------------------
 
 Path = tuple[tuple[int, str], ...]  # ordered (vertex, edge letter) steps
-
-
-@dataclass(frozen=True)
-class PathEnumeration:
-    """The 2n+1 root-to-leaf paths in the linear-encoding order."""
-
-    n: int
-    paths: tuple[Path, ...]
-
-    def __post_init__(self):
-        if len(self.paths) != 2 * self.n + 1:
-            raise ValueError("a ternary tree has exactly 2n+1 root-to-leaf paths")
 
 
 def _path_string(n: int, path: Path, phase: int | None = None) -> PauliString:
@@ -174,7 +162,7 @@ def all_paths(t: TernaryTree) -> tuple[Path, ...]:
     out: list[Path] = []
 
     def visit(vertex: int, prefix: list[tuple[int, str]]):
-        for letter in _LETTERS:
+        for letter in LETTERS:
             step = prefix + [(vertex, letter)]
             child = t.child(vertex, letter)
             if child is None:
@@ -186,12 +174,12 @@ def all_paths(t: TernaryTree) -> tuple[Path, ...]:
     return tuple(out)
 
 
-def path_paulis(t: TernaryTree) -> list[UnsignedPauli]:
-    """The 2n+1 pairwise-anticommuting unsigned path strings."""
-    return [_path_string(t.n, p).unsigned() for p in all_paths(t)]
+def path_paulis(t: TernaryTree) -> list[PauliString]:
+    """The 2n+1 pairwise-anticommuting path strings, each with coefficient +1."""
+    return [_path_string(t.n, p) for p in all_paths(t)]
 
 
-def canonical_paths(t: TernaryTree) -> PathEnumeration:
+def canonical_paths(t: TernaryTree) -> tuple[Path, ...]:
     """Paths ordered so that consecutive pairs stabilize |0...0>.
 
     Children are visited X, Y, Z; traversing a Y edge reverses the visit
@@ -212,7 +200,7 @@ def canonical_paths(t: TernaryTree) -> PathEnumeration:
                 visit(child, step, flipped ^ (letter == "Y"))
 
     visit(t.root, [], False)
-    return PathEnumeration(t.n, tuple(out))
+    return tuple(out)
 
 
 def canonical_mapping(t: TernaryTree) -> FermionQubitMapping:
@@ -223,7 +211,7 @@ def canonical_mapping(t: TernaryTree) -> FermionQubitMapping:
     (G_2i, G_2i+1) = (hat_2i, i*hat_2i+1).  The vacuum is |0...0> and
     every Fock state has phase exactly +1.
     """
-    paths = canonical_paths(t).paths
+    paths = canonical_paths(t)
     pairs = []
     for i in range(t.n):
         even = _path_string(t.n, paths[2 * i], phase=0)
@@ -234,9 +222,7 @@ def canonical_mapping(t: TernaryTree) -> FermionQubitMapping:
 
 def tree_matrix(t: TernaryTree) -> BinMatrix:
     """G_T with column j the X/Y support of the canonical mapping's G_2j."""
-    m = canonical_mapping(t)
-    cols = [m.pairs[j][0].x for j in range(t.n)]
-    g = BinMatrix(t.n, tuple(cols)).transpose()
+    g = flip_matrix(canonical_mapping(t))
     invert(g)  # G_T is always invertible; fail loudly otherwise
     return g
 
@@ -249,7 +235,7 @@ def _ancestor_steps(t: TernaryTree) -> dict[int, Path]:
     stack = [t.root]
     while stack:
         v = stack.pop()
-        for letter in _LETTERS:
+        for letter in LETTERS:
             c = t.child(v, letter)
             if c is not None:
                 steps[c] = steps[v] + ((v, letter),)
@@ -390,15 +376,15 @@ def revacuum(
         ob, oc = _STAB_PAIR[old.qubit_states[q]]
         nb, nc = _STAB_PAIR[target.qubit_states[q]]
         rho = {ob: nb, oc: nc}
-        (last_old,) = set(_LETTERS) - {ob, oc}
-        (last_new,) = set(_LETTERS) - {nb, nc}
+        (last_old,) = set(LETTERS) - {ob, oc}
+        (last_new,) = set(LETTERS) - {nb, nc}
         rho[last_old] = last_new
         perms.append(rho)
 
     children: dict[int, dict[str, int]] = {}
     for q in range(t.n):
         slots = {}
-        for letter in _LETTERS:
+        for letter in LETTERS:
             c = t.child(q, letter)
             if c is not None:
                 slots[perms[q][letter]] = c
@@ -419,7 +405,7 @@ def revacuum(
 def format_tree(t: TernaryTree) -> str:
     def emit(v: int) -> str:
         parts = [str(v)]
-        for letter in _LETTERS:
+        for letter in LETTERS:
             c = t.child(v, letter)
             if c is not None:
                 parts.append(f"{letter}={emit(c)}")

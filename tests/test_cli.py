@@ -103,6 +103,30 @@ def test_verify_sierpinski_13_sampled(tmp_path, capsys):
     assert "sampled 4096" in out and "result: pass" in out
 
 
+def test_verify_oracle_beyond_dense_limit(tmp_path, capsys):
+    code, out, _ = run(capsys, "known", "--name", "sierpinski", "--n", "40")
+    path = tmp_path / "s40.map"
+    path.write_text(out)
+    code, out, _ = run(capsys, "verify", "--mapping", str(path), "--oracle")
+    assert code == 0
+    lines = out.splitlines()
+    assert "classical: True" in lines and "result: pass" in lines
+    assert "oracle_linear: skipped: n > 14" in lines
+
+
+def test_verify_reports_sign_defect_as_not_classical(tmp_path, capsys):
+    path = tmp_path / "m.map"
+    path.write_text(
+        "n=3\n"
+        "pair 0: -1 Y0 Y2 ; +1 X0 Y2\n"
+        "pair 1: +1 X1 X2 ; +1 Y1 X2\n"
+        "pair 2: +1 Z1 X2 ; +1 Z0 Y2\n"
+    )
+    code, out, _ = run(capsys, "verify", "--mapping", str(path))
+    assert code == 0
+    assert "classical: False" in out.splitlines()
+
+
 def test_weights(tmp_path, capsys):
     path = tmp_path / "m.map"
     path.write_text(mapping.format_mapping(mapping.jordan_wigner(4)))

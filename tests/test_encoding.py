@@ -3,8 +3,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fermap import encoding, gf2, mapping, oracle, pauli
+from fermap import encoding, equiv, gf2, mapping, oracle, pauli, ttree
 from fermap.encoding import AffineEncoding, NotClassical
 from fermap.gf2 import BinMatrix
 
@@ -120,6 +121,15 @@ def test_majoranas_linear_formula_shape():
             assert even.is_hermitian() and odd.is_hermitian()
 
 
+def test_majoranas_of_affine_inverts_once(monkeypatch):
+    enc = AffineEncoding(gf2.random_invertible(6, 36), 0b101101)
+    calls = []
+    real_invert = gf2.invert
+    monkeypatch.setattr(gf2, "invert", lambda g: calls.append(g) or real_invert(g))
+    encoding.majoranas_of_affine(enc)
+    assert calls == [enc.g]
+
+
 def _mask(indices):
     out = 0
     for j in indices:
@@ -179,6 +189,60 @@ def test_detect_classical_rejects_imaginary_phases():
     assert res.f is not None
 
 
+def test_detect_classical_rejects_sign_defect_beyond_single_excitations():
+    """Valid n = 3 mapping whose single excitations are all +1 but f = 11 is not."""
+    m = mapping.parse_mapping(
+        "n=3\n"
+        "pair 0: -1 Y0 Y2 ; +1 X0 Y2\n"
+        "pair 1: +1 X1 X2 ; +1 Y1 X2\n"
+        "pair 2: +1 Z1 X2 ; +1 Z0 Y2\n"
+    )
+    assert mapping.validate(m) is None
+    res = encoding.detect_classical(m)
+    assert isinstance(res, NotClassical)
+    assert res.f == 0b11 and res.state == mapping.fock_state(m, 0b11)
+    assert str(res.state) == "-1 |110>"
+
+
+@st.composite
+def classical_candidates(draw):
+    """Affine encodings and tree pairings, then random sign changes and braids."""
+    n = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 10**6))
+    kind = draw(st.sampled_from(("affine", "canonical", "braided", "legacy")))
+    if kind == "affine":
+        b = draw(st.integers(0, (1 << n) - 1))
+        m = encoding.majoranas_of_affine(AffineEncoding(gf2.random_invertible(n, seed), b))
+    else:
+        pairing = {
+            "canonical": ttree.canonical_mapping,
+            "braided": ttree.braided_real_pairing,
+            "legacy": ttree.legacy_pairing,
+        }[kind]
+        m = pairing(ttree.random_tree(n, seed))
+    word = draw(st.lists(
+        st.one_of(
+            st.builds(equiv.SignChange, st.integers(0, 2 * n - 1)),
+            st.builds(equiv.PairBraid, st.integers(0, n - 1), st.sampled_from((1, -1))),
+        ),
+        max_size=4,
+    ))
+    return equiv.apply_symmetries(m, word)
+
+
+@settings(max_examples=150, deadline=None)
+@given(classical_candidates())
+def test_detect_classical_agrees_with_exhaustive_sweep(m):
+    states = [mapping.fock_state(m, f) for f in range(1 << m.n)]
+    res = encoding.detect_classical(m)
+    if isinstance(res, AffineEncoding):
+        for f, state in enumerate(states):
+            assert state == pauli.computational_state(m.n, gf2.mat_vec(res.g, f ^ res.b))
+    else:
+        assert states[res.f] == res.state
+        assert res.state.phase != 0 or not res.state.is_computational()
+
+
 def test_detect_classical_round_trip():
     rng = random.Random(34)
     for _ in range(25):
@@ -214,7 +278,7 @@ def test_affine_to_linear_unsigned_parts_match():
         m = encoding.majoranas_of_affine(enc)
         linear, _ = encoding.affine_to_linear(m, enc)
         for a, b in zip(m.gammas, linear.gammas):
-            assert a.unsigned() == b.unsigned()
+            assert (a.x, a.z) == (b.x, b.z)
         if n <= 5:
             assert oracle.verify_linear(linear, enc.g) is None
 

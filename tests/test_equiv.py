@@ -278,5 +278,6 @@ def test_witness_serialization_round_trip():
 
 
 def test_parse_ops_rejects_unknown():
-    with pytest.raises(ValueError):
-        equiv.parse_ops("rotate 1 2\n")
+    for line in ("rotate 1 2", "sign-change", "pair-braid 0", "pair-braid 0 x"):
+        with pytest.raises(ValueError):
+            equiv.parse_ops(line + "\n")

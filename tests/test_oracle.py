@@ -1,5 +1,7 @@
 """Dense oracle self-checks and oracle-vs-symbolic agreement."""
 
+import ast
+import inspect
 import random
 
 import numpy as np
@@ -171,3 +173,15 @@ def test_bits_to_index_convention():
     assert oracle.bits_to_index(3, 0b100) == 1
     psi = oracle.dense_product_state(pauli.computational_state(3, 0b001))
     assert np.allclose(psi, oracle.basis_state(3, 0b001))
+
+
+def test_oracle_shares_no_code_with_gf2_or_encoding():
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(oracle))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    parts = {part for name in imported for part in name.split(".")}
+    assert not parts & {"gf2", "encoding"}

@@ -160,10 +160,10 @@ def test_canonical_mapping_y_chain_is_two_mode_bk():
 
 def test_canonical_paths_structure():
     t = ttree.parse_tree(FIVE)
-    enum = ttree.canonical_paths(t)
-    assert len(enum.paths) == 11
+    paths = ttree.canonical_paths(t)
+    assert len(paths) == 11
     # the final path takes only Z edges
-    assert all(letter == "Z" for _, letter in enum.paths[-1])
+    assert all(letter == "Z" for _, letter in paths[-1])
 
 
 def test_canonical_mapping_is_classical_with_zero_offset():
@@ -294,7 +294,7 @@ def test_canonical_pair_products_stabilize_all_zero():
     for seed in range(20):
         n = rng.randrange(1, 9)
         t = ttree.random_tree(n, seed)
-        paths = ttree.canonical_paths(t).paths
+        paths = ttree.canonical_paths(t)
         zero = pauli.computational_state(n, 0)
         for i in range(n):
             even = ttree._path_string(n, paths[2 * i], phase=0)
