@@ -42,7 +42,12 @@ class BinMatrix:
         return out
 
     def transpose(self) -> "BinMatrix":
-        return BinMatrix(self.n, tuple(self.column(i) for i in range(self.n)))
+        cols = [0] * self.n
+        for i, r in enumerate(self.rows):
+            while r:  # one step per set bit
+                cols[(r & -r).bit_length() - 1] |= 1 << i
+                r &= r - 1
+        return BinMatrix(self.n, tuple(cols))
 
     def __str__(self) -> str:
         return format_matrix(self)

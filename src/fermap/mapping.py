@@ -36,13 +36,11 @@ class NonProduct:
     """Witness that a mapping's vacuum is entangled.
 
     ``qubit`` is a qubit addressed by two vacuum stabilizers with different
-    local letters.  ``dense_vacuum`` holds the numerically computed vacuum
-    for small systems (n <= 10), else None.
+    local letters.
     """
 
     qubit: int
     letters: tuple[str, str]
-    dense_vacuum: object | None = None
 
     def __str__(self) -> str:
         a, b = self.letters
@@ -135,8 +133,9 @@ def vacuum_state(m: FermionQubitMapping) -> ProductState | NonProduct:
 
     Each qubit must be addressed with a single letter across all
     stabilizers; the per-qubit eigenvalue signs then solve a linear system
-    over F2.  Returns NonProduct (with a dense witness for n <= 10) when
-    two stabilizers clash on a qubit.
+    over F2.  Returns NonProduct when two stabilizers clash on a qubit, and
+    raises ValueError when the letters agree but the signs are inconsistent
+    (no valid mapping does that: its stabilizers never generate -1).
     """
     stabs = vacuum_stabilizers(m)
     letters: dict[int, str] = {}
@@ -147,7 +146,7 @@ def vacuum_state(m: FermionQubitMapping) -> ProductState | NonProduct:
             if seen is None:
                 letters[j] = ell
             elif seen != ell:
-                return _non_product(m, j, (seen, ell))
+                return NonProduct(j, (seen, ell))
     # Solve for the per-qubit signs: stabilizer i fixes the parity of the
     # -1-eigenstate qubits inside its support.
     rows = []
@@ -161,7 +160,7 @@ def vacuum_state(m: FermionQubitMapping) -> ProductState | NonProduct:
         rows.append((s.x | s.z, sign_bit))
     assign = _solve_sign_system(m.n, rows)
     if assign is None:
-        return _non_product(m, -1, ("?", "?"))
+        raise ValueError("vacuum stabilizers demand inconsistent signs")
     states = tuple(
         (letters.get(j, "Z"), -1 if (assign >> j) & 1 else +1) for j in range(m.n)
     )
@@ -192,15 +191,6 @@ def _solve_sign_system(n: int, rows: list[tuple[int, int]]) -> int | None:
         if val:
             solution |= 1 << col
     return solution
-
-
-def _non_product(m: FermionQubitMapping, qubit: int, letters: tuple[str, str]) -> NonProduct:
-    dense = None
-    if m.n <= 10:
-        from . import oracle
-
-        dense = oracle.dense_vacuum(m)
-    return NonProduct(qubit, letters, dense)
 
 
 def fock_state(m: FermionQubitMapping, f: int) -> ProductState:

@@ -288,24 +288,31 @@ def format_pauli(p: PauliString) -> str:
     return f"{sign} {factors}"
 
 
+def is_index(token: str) -> bool:
+    """A qubit or vertex index: ASCII digits, no sign, underscore or leading zero."""
+    return token.isascii() and token.isdigit() and (token == "0" or token[0] != "0")
+
+
 def parse_pauli(text: str, n: int) -> PauliString:
     """Parse the `SIGN FACTOR*` format back into a PauliString."""
     tokens = text.split()
     if not tokens or tokens[0] not in _TOKEN_TO_POWER:
         raise ValueError(f"pauli text must start with a sign token: {text!r}")
     power = _TOKEN_TO_POWER[tokens[0]]
-    letters = ["I"] * n
+    x = z = 0
     if tokens[1:] == ["I"]:
-        return from_letters(letters, power)
+        return PauliString(n, x, z, power)
     last = -1
     for tok in tokens[1:]:
-        if len(tok) < 2 or tok[0] not in "XYZ":
+        letter, index = tok[:1], tok[1:]
+        if letter not in LETTERS or not is_index(index):
             raise ValueError(f"bad pauli factor {tok!r}")
-        j = int(tok[1:])
+        j = int(index)
         if not 0 <= j < n:
             raise ValueError(f"qubit index {j} out of range for n={n}")
         if j <= last:
             raise ValueError(f"factors must have strictly increasing qubits: {text!r}")
-        letters[j] = tok[0]
+        x |= (letter != "Z") << j
+        z |= (letter != "X") << j
         last = j
-    return from_letters(letters, power)
+    return PauliString(n, x, z, power + (x & z).bit_count())

@@ -142,65 +142,40 @@ def random_tree(n: int, seed: int) -> TernaryTree:
 
 
 # -- path machinery -----------------------------------------------------------
+#
+# A root-to-leaf path is the Pauli word X^x Z^z whose x mask holds the
+# vertices where it takes an X or Y edge and whose z mask those where it
+# takes a Y or Z edge.
 
-Path = tuple[tuple[int, str], ...]  # ordered (vertex, edge letter) steps
-
-
-def _path_string(n: int, path: Path, phase: int | None = None) -> PauliString:
-    """Pauli string spelled by a path; default coefficient is +1."""
-    letters = ["I"] * n
-    for vertex, letter in path:
-        letters[vertex] = letter
-    if phase is None:
-        return pauli.from_letters(letters)
-    p = pauli.from_letters(letters)
-    return PauliString(n, p.x, p.z, phase)
+def _step(x: int, z: int, vertex: int, letter: str) -> tuple[int, int]:
+    """The masks (x, z) extended by ``letter`` on ``vertex``."""
+    slot = _SLOT[letter]
+    return x | ((slot < 2) << vertex), z | ((slot > 0) << vertex)
 
 
-def all_paths(t: TernaryTree) -> tuple[Path, ...]:
-    """Root-to-leaf paths in plain depth-first X, Y, Z order."""
-    out: list[Path] = []
-
-    def visit(vertex: int, prefix: list[tuple[int, str]]):
-        for letter in LETTERS:
-            step = prefix + [(vertex, letter)]
-            child = t.child(vertex, letter)
-            if child is None:
-                out.append(tuple(step))
-            else:
-                visit(child, step)
-
-    visit(t.root, [])
-    return tuple(out)
-
-
-def path_paulis(t: TernaryTree) -> list[PauliString]:
-    """The 2n+1 pairwise-anticommuting path strings, each with coefficient +1."""
-    return [_path_string(t.n, p) for p in all_paths(t)]
-
-
-def canonical_paths(t: TernaryTree) -> tuple[Path, ...]:
-    """Paths ordered so that consecutive pairs stabilize |0...0>.
+def canonical_paths(t: TernaryTree) -> tuple[PauliString, ...]:
+    """The 2n+1 plain path words X^x Z^z, consecutive pairs stabilizing |0...0>.
 
     Children are visited X, Y, Z; traversing a Y edge reverses the visit
     order (Z, Y, X) for that entire subtree, toggling again on nested Y
     edges.  The final path takes only Z edges and is left unused by the
     canonical mapping.
     """
-    out: list[Path] = []
-
-    def visit(vertex: int, prefix: list[tuple[int, str]], flipped: bool):
-        order = ("Z", "Y", "X") if flipped else ("X", "Y", "Z")
-        for letter in order:
-            step = prefix + [(vertex, letter)]
-            child = t.child(vertex, letter)
-            if child is None:
-                out.append(tuple(step))
-            else:
-                visit(child, step, flipped ^ (letter == "Y"))
-
-    visit(t.root, [], False)
+    out: list[PauliString] = []
+    stack: list[tuple[int | None, int, int, bool]] = [(t.root, 0, 0, False)]
+    while stack:
+        v, x, z, flipped = stack.pop()
+        if v is None:
+            out.append(PauliString(t.n, x, z))
+            continue
+        for letter in "XYZ" if flipped else "ZYX":  # pushed in reverse visit order
+            stack.append((t.child(v, letter), *_step(x, z, v, letter), flipped ^ (letter == "Y")))
     return tuple(out)
+
+
+def path_paulis(t: TernaryTree) -> list[PauliString]:
+    """The canonical path words rephased to coefficient +1; pairwise anticommuting."""
+    return [PauliString(t.n, p.x, p.z, p.y_count()) for p in canonical_paths(t)]
 
 
 def canonical_mapping(t: TernaryTree) -> FermionQubitMapping:
@@ -212,12 +187,8 @@ def canonical_mapping(t: TernaryTree) -> FermionQubitMapping:
     every Fock state has phase exactly +1.
     """
     paths = canonical_paths(t)
-    pairs = []
-    for i in range(t.n):
-        even = _path_string(t.n, paths[2 * i], phase=0)
-        odd = _path_string(t.n, paths[2 * i + 1], phase=1)
-        pairs.append((even, odd))
-    return FermionQubitMapping(t.n, tuple(pairs))
+    pairs = tuple((paths[2 * i], paths[2 * i + 1].times_i()) for i in range(t.n))
+    return FermionQubitMapping(t.n, pairs)
 
 
 def tree_matrix(t: TernaryTree) -> BinMatrix:
@@ -228,38 +199,6 @@ def tree_matrix(t: TernaryTree) -> BinMatrix:
 
 
 # -- product-vacuum pairing ----------------------------------------------------
-
-def _ancestor_steps(t: TernaryTree) -> dict[int, Path]:
-    """Root-to-vertex edge steps for every vertex."""
-    steps: dict[int, Path] = {t.root: ()}
-    stack = [t.root]
-    while stack:
-        v = stack.pop()
-        for letter in LETTERS:
-            c = t.child(v, letter)
-            if c is not None:
-                steps[c] = steps[v] + ((v, letter),)
-                stack.append(c)
-    return steps
-
-
-def _stabilizer_descent(t: TernaryTree, v: ProductState, vertex: int, letter: str) -> tuple[Path, int]:
-    """Follow stabilizing-letter edges below ``vertex``'s ``letter`` slot.
-
-    Returns the (vertex, letter) steps strictly below the starting vertex
-    and the count of -1-eigenstate factors passed through.
-    """
-    steps: list[tuple[int, str]] = []
-    minus = 0
-    child = t.child(vertex, letter)
-    while child is not None:
-        p_letter, sign = v.qubit_states[child]
-        steps.append((child, p_letter))
-        if sign < 0:
-            minus += 1
-        child = t.child(child, p_letter)
-    return tuple(steps), minus
-
 
 def pair_for_vacuum(t: TernaryTree, v: ProductState) -> FermionQubitMapping:
     """The unique unsigned pairing of path strings with vacuum v.
@@ -275,18 +214,32 @@ def pair_for_vacuum(t: TernaryTree, v: ProductState) -> FermionQubitMapping:
         raise ValueError("state width differs from tree size")
     if v.phase != 0:
         raise ValueError("vacuum specification must carry phase +1")
-    ancestors = _ancestor_steps(t)
+    states = v.qubit_states
+    # top down: the masks of the edges from the root to each vertex
+    prefix = {t.root: (0, 0)}
+    order = [t.root]
+    for u in order:
+        for letter, c in zip(LETTERS, t.children[u]):
+            if c is not None:
+                prefix[c] = _step(*prefix[u], u, letter)
+                order.append(c)
+    # bottom up: the stabilizing-letter descent from each vertex, with the
+    # parity of the -1-eigenstate factors it passes
+    descent: dict[int | None, tuple[int, int, int]] = {None: (0, 0, 0)}
+    for u in reversed(order):
+        letter, sign = states[u]
+        x, z, minus = descent[t.child(u, letter)]
+        descent[u] = (*_step(x, z, u, letter), minus ^ (sign < 0))
     pairs = []
     for i in range(t.n):
-        b_letter, c_letter = _STAB_PAIR[v.qubit_states[i]]
-        prefix = ancestors[i]
-        b_steps, b_minus = _stabilizer_descent(t, v, i, b_letter)
-        c_steps, c_minus = _stabilizer_descent(t, v, i, c_letter)
-        op_b = _path_string(t.n, prefix + ((i, b_letter),) + b_steps)
-        op_c = _path_string(t.n, prefix + ((i, c_letter),) + c_steps)
-        if (b_minus + c_minus) % 2:
-            op_b, op_c = op_c, op_b
-        pairs.append((op_b, op_c))
+        ops = []
+        swap = 0
+        for letter in _STAB_PAIR[states[i]]:
+            x, z, minus = descent[t.child(i, letter)]
+            x, z = _step(x | prefix[i][0], z | prefix[i][1], i, letter)
+            ops.append(PauliString(t.n, x, z, (x & z).bit_count()))
+            swap ^= minus
+        pairs.append((ops[1], ops[0]) if swap else (ops[0], ops[1]))
     return FermionQubitMapping(t.n, tuple(pairs))
 
 
@@ -316,11 +269,10 @@ def braided_real_pairing(t: TernaryTree) -> FermionQubitMapping:
 
 def _divergence_vertex(a: PauliString, b: PauliString) -> int:
     """The unique qubit where two path strings act with different letters."""
-    both = (a.x | a.z) & (b.x | b.z)
-    for j in range(a.n):
-        if (both >> j) & 1 and a.letter(j) != b.letter(j):
-            return j
-    raise ValueError("operators do not diverge on any shared qubit")
+    split = (a.x | a.z) & (b.x | b.z) & ((a.x ^ b.x) | (a.z ^ b.z))
+    if not split:
+        raise ValueError("operators do not diverge on any shared qubit")
+    return (split & -split).bit_length() - 1
 
 
 def _pair_transform(pair, canon) -> str:
@@ -403,53 +355,64 @@ def revacuum(
 # -- tree file grammar ------------------------------------------------------------
 
 def format_tree(t: TernaryTree) -> str:
-    def emit(v: int) -> str:
-        parts = [str(v)]
-        for letter in LETTERS:
-            c = t.child(v, letter)
-            if c is not None:
-                parts.append(f"{letter}={emit(c)}")
-        return "(" + " ".join(parts) + ")"
-
-    return emit(t.root)
+    out = []
+    stack: list[tuple[str, int | None]] = [("", t.root)]  # text, then the vertex it opens
+    while stack:
+        text, v = stack.pop()
+        out.append(text)
+        if v is not None:
+            out.append(f"({v}")
+            stack.append((")", None))
+            x, y, z = t.children[v]  # pushed in reverse, so X is written first
+            if z is not None:
+                stack.append((" Z=", z))
+            if y is not None:
+                stack.append((" Y=", y))
+            if x is not None:
+                stack.append((" X=", x))
+    return "".join(out)
 
 
 def parse_tree(text: str) -> TernaryTree:
-    """Parse `(0 X=(1) Y=(2 Z=(3)) Z=(4))`-style tree text."""
+    """Parse `(0 X=(1) Y=(2 Z=(3)) Z=(4))`-style tree text of any depth."""
     tokens = text.replace("(", " ( ").replace(")", " ) ").replace("=", " = ").split()
+    tokens.append("<end>")  # matches no expected token, so parsing stops on it
     pos = 0
 
     def expect(tok: str):
         nonlocal pos
-        if pos >= len(tokens) or tokens[pos] != tok:
-            got = tokens[pos] if pos < len(tokens) else "<end>"
-            raise MalformedTree(f"expected {tok!r}, got {got!r}")
+        if tokens[pos] != tok:
+            raise MalformedTree(f"expected {tok!r}, got {tokens[pos]!r}")
         pos += 1
 
     children: dict[int, dict[str, int]] = {}
-
-    def node() -> int:
-        nonlocal pos
+    stack: list[tuple[int, str | None]] = []  # open vertices, each with its slot letter
+    slot = None
+    while True:
         expect("(")
-        if pos >= len(tokens) or not tokens[pos].isdigit():
+        if not pauli.is_index(tokens[pos]):
             raise MalformedTree("expected a vertex label")
-        label = int(tokens[pos])
+        stack.append((int(tokens[pos]), slot))
         pos += 1
-        while pos < len(tokens) and tokens[pos] in _SLOT:
-            letter = tokens[pos]
-            pos += 1
-            expect("=")
-            child = node()
-            slots = children.setdefault(label, {})
+        # close finished vertices until one opens another edge
+        while tokens[pos] not in _SLOT:
+            expect(")")
+            label, letter = stack.pop()
+            if not stack:
+                break
+            slots = children.setdefault(stack[-1][0], {})
             if letter in slots:
-                raise MalformedTree(f"duplicate {letter} slot on vertex {label}")
-            slots[letter] = child
-        expect(")")
-        return label
+                raise MalformedTree(f"duplicate {letter} slot on vertex {stack[-1][0]}")
+            slots[letter] = label
+        if not stack:
+            break
+        slot = tokens[pos]
+        pos += 1
+        expect("=")
 
-    root = node()
-    if pos != len(tokens):
-        raise MalformedTree(f"trailing input: {' '.join(tokens[pos:])!r}")
+    root = label
+    if pos != len(tokens) - 1:
+        raise MalformedTree(f"trailing input: {' '.join(tokens[pos:-1])!r}")
     labels = {root}
     for v, slots in children.items():
         labels.add(v)

@@ -199,6 +199,17 @@ def test_dot_output_is_syntactically_plausible(tmp_path, capsys):
     assert 'label="mode 0"' in out and 'label="mode 1"' in out
 
 
+def test_non_canonical_indices_are_input_errors(tmp_path, capsys):
+    path = tmp_path / "m.map"
+    path.write_text(mapping.format_mapping(mapping.jordan_wigner(2)).replace("X1", "X+1"))
+    code, _, err = run(capsys, "verify", "--mapping", str(path))
+    assert code == 2 and "X+1" in err
+    tree_file = tmp_path / "t.tree"
+    tree_file.write_text("(0 X=(01))")
+    code, _, err = run(capsys, "tree-matrix", "--tree", str(tree_file))
+    assert code == 2 and "vertex label" in err
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "verify", "--mapping", "/nonexistent.map")
     assert code == 2 and "/nonexistent.map" in err

@@ -125,6 +125,16 @@ def test_mat_vec():
             assert gf2.mat_vec(g, 1 << i) == g.column(i)
 
 
+def test_transpose_random():
+    rng = random.Random(15)
+    for _ in range(30):
+        n = rng.randrange(1, 40)
+        g = BinMatrix(n, tuple(rng.randrange(1 << n) for _ in range(n)))
+        gt = g.transpose()
+        assert all(gt.entry(j, i) == g.entry(i, j) for i in range(n) for j in range(n))
+        assert gt.transpose() == g
+
+
 def test_random_invertible_deterministic():
     a = gf2.random_invertible(6, seed=1)
     b = gf2.random_invertible(6, seed=1)

@@ -93,7 +93,16 @@ def test_vacuum_state_jw():
 def test_vacuum_non_product(product_breaking_two_mode):
     vac = mapping.vacuum_state(product_breaking_two_mode)
     assert isinstance(vac, NonProduct)
-    assert vac.dense_vacuum is not None  # small n carries the dense witness
+
+
+@pytest.mark.parametrize("n", [2, 11])
+def test_vacuum_inconsistent_signs_raise(n):
+    """Pairs (X0, Y0), (Y0, X0) demand both +Z0 and -Z0 of the vacuum."""
+    x0, y0 = pauli.single(n, "X", 0), pauli.single(n, "Y", 0)
+    m = FermionQubitMapping(n, ((x0, y0), (y0, x0)) + mapping.jordan_wigner(n).pairs[2:])
+    assert [str(s) for s in mapping.vacuum_stabilizers(m)[:2]] == ["+1 Z0", "-1 Z0"]
+    with pytest.raises(ValueError, match="inconsistent signs"):
+        mapping.vacuum_state(m)
 
 
 def test_vacuum_stabilizers_of_parity_are_z_only():

@@ -175,13 +175,23 @@ def test_bits_to_index_convention():
     assert np.allclose(psi, oracle.basis_state(3, 0b001))
 
 
-def test_oracle_shares_no_code_with_gf2_or_encoding():
+def _imported_parts(module):
     imported = set()
-    for node in ast.walk(ast.parse(inspect.getsource(oracle))):
+    for node in ast.walk(ast.parse(inspect.getsource(module))):
         if isinstance(node, ast.ImportFrom):
             imported.add(node.module or "")
             imported.update(alias.name for alias in node.names)
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
-    parts = {part for name in imported for part in name.split(".")}
-    assert not parts & {"gf2", "encoding"}
+    return {part for name in imported for part in name.split(".")}
+
+
+def test_oracle_shares_no_code_with_gf2_or_encoding():
+    assert not _imported_parts(oracle) & {"gf2", "encoding"}
+
+
+def test_symbolic_modules_do_not_import_oracle():
+    from fermap import equiv
+
+    for module in (pauli, gf2, mapping, encoding, ttree, equiv):
+        assert "oracle" not in _imported_parts(module), module.__name__

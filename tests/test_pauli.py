@@ -240,6 +240,12 @@ def test_parse_rejects_malformed():
             pauli.parse_pauli(bad, 2)
 
 
+@pytest.mark.parametrize("token", ["X+1", "X-0", "X1_0", "X01", "X\u0663", "X"])
+def test_parse_rejects_non_canonical_index(token):
+    with pytest.raises(ValueError, match="bad pauli factor"):
+        pauli.parse_pauli(f"+1 {token}", 12)
+
+
 def test_state_chars_round_trip():
     s = pauli.state_from_chars("01+-rl")
     assert s.n == 6 and s.phase == 0

@@ -1,11 +1,13 @@
 """Ternary trees: path strings, pairings, canonical mappings, revacuuming."""
 
+import itertools
 import random
+import sys
 
 import numpy as np
 import pytest
 
-from fermap import gf2, mapping, oracle, pauli, ttree
+from fermap import cli, gf2, mapping, oracle, pauli, ttree
 from fermap.ttree import MalformedTree
 
 
@@ -41,6 +43,12 @@ def test_parse_rejects_malformed():
     ):
         with pytest.raises(MalformedTree):
             ttree.parse_tree(bad)
+
+
+@pytest.mark.parametrize("label", ["01", "+1", "1_0", "\u0661"])
+def test_parse_rejects_non_canonical_labels(label):
+    with pytest.raises(MalformedTree, match="vertex label"):
+        ttree.parse_tree(f"(0 X=({label}))")
 
 
 def test_path_paulis_chain():
@@ -163,7 +171,7 @@ def test_canonical_paths_structure():
     paths = ttree.canonical_paths(t)
     assert len(paths) == 11
     # the final path takes only Z edges
-    assert all(letter == "Z" for _, letter in paths[-1])
+    assert paths[-1].x == 0 and str(paths[-1]) == "+1 Z0 Z4"
 
 
 def test_canonical_mapping_is_classical_with_zero_offset():
@@ -297,7 +305,97 @@ def test_canonical_pair_products_stabilize_all_zero():
         paths = ttree.canonical_paths(t)
         zero = pauli.computational_state(n, 0)
         for i in range(n):
-            even = ttree._path_string(n, paths[2 * i], phase=0)
-            odd = ttree._path_string(n, paths[2 * i + 1], phase=0)
-            out = pauli.apply_to_product_state(pauli.multiply(even, odd), zero)
+            out = pauli.apply_to_product_state(pauli.multiply(paths[2 * i], paths[2 * i + 1]), zero)
             assert out == zero
+
+
+# -- reference: the recursive (vertex, letter) walk ---------------------------
+
+def _ref_steps(t, canonical):
+    """Root-to-leaf (vertex, letter) step lists; Y edges reverse order if canonical."""
+    out = []
+
+    def visit(vertex, prefix, flipped):
+        for letter in ("Z", "Y", "X") if flipped else ("X", "Y", "Z"):
+            step = prefix + [(vertex, letter)]
+            child = t.child(vertex, letter)
+            if child is None:
+                out.append(step)
+            else:
+                visit(child, step, flipped ^ (canonical and letter == "Y"))
+
+    visit(t.root, [], False)
+    return out
+
+
+def _ref_string(n, steps):
+    """+1 times the tensor product of the letters spelled by the steps."""
+    letters = ["I"] * n
+    for vertex, letter in steps:
+        letters[vertex] = letter
+    return pauli.from_letters(letters)
+
+
+def _ref_stab_pair(letter, sign):
+    """The ordered pair (B, C) with -iBC equal to sign * letter."""
+    want = pauli.single(1, letter, 0, 0 if sign > 0 else 2)
+    for b, c in itertools.permutations(set("XYZ") - {letter}, 2):
+        if pauli.multiply(pauli.single(1, b, 0), pauli.single(1, c, 0)).times_i(3) == want:
+            return b, c
+
+
+def _ref_pair_for_vacuum(t, v):
+    ancestors = {}
+
+    def visit(vertex, prefix):
+        ancestors[vertex] = prefix
+        for letter in "XYZ":
+            child = t.child(vertex, letter)
+            if child is not None:
+                visit(child, prefix + [(vertex, letter)])
+
+    visit(t.root, [])
+    pairs = []
+    for i in range(t.n):
+        ops, minus = [], 0
+        for letter in _ref_stab_pair(*v.qubit_states[i]):
+            steps = ancestors[i] + [(i, letter)]
+            child = t.child(i, letter)
+            while child is not None:
+                stab, sign = v.qubit_states[child]
+                steps.append((child, stab))
+                minus += sign < 0
+                child = t.child(child, stab)
+            ops.append(_ref_string(t.n, steps))
+        pairs.append(tuple(reversed(ops)) if minus % 2 else tuple(ops))
+    return mapping.FermionQubitMapping(t.n, tuple(pairs))
+
+
+def test_path_words_match_recursive_letter_walk():
+    rng = random.Random(56)
+    for seed in range(200):
+        n = rng.randrange(1, 13)
+        t = ttree.random_tree(n, seed)
+        ref = [_ref_string(n, steps) for steps in _ref_steps(t, canonical=True)]
+        plain = [pauli.PauliString(n, p.x, p.z) for p in ref]
+        assert list(ttree.canonical_paths(t)) == plain
+        assert ttree.path_paulis(t) == ref
+        assert set(ttree.path_paulis(t)) == {_ref_string(n, s) for s in _ref_steps(t, canonical=False)}
+        v = random_product_state(rng, n)
+        assert ttree.pair_for_vacuum(t, v) == _ref_pair_for_vacuum(t, v)
+
+
+def test_deep_chain_beyond_recursion_limit(tmp_path, capsys):
+    n = sys.getrecursionlimit() + 200
+    text = "".join(f"({v} Z=" for v in range(n - 1)) + f"({n - 1})" + ")" * (n - 1)
+    t = ttree.parse_tree(text)
+    assert t.n == n and ttree.format_tree(t) == text
+    jw = mapping.jordan_wigner(n)
+    assert ttree.canonical_mapping(t) == jw
+    assert ttree.legacy_pairing(t) == jw
+    assert ttree.tree_matrix(t) == gf2.identity_matrix(n)
+    tree_file = tmp_path / "chain.tree"
+    tree_file.write_text(text)
+    assert cli.run(["tree-matrix", "--tree", str(tree_file)]) == 0
+    out, err = capsys.readouterr()
+    assert gf2.parse_matrix(out) == gf2.identity_matrix(n) and err == ""
