@@ -20,9 +20,6 @@ from . import pauli
 from .mapping import FermionQubitMapping, validate
 from .pauli import LETTERS, PauliString
 
-_EVEN_PERMS = ({"X": "X", "Y": "Y", "Z": "Z"},
-               {"X": "Y", "Y": "Z", "Z": "X"},
-               {"X": "Z", "Y": "X", "Z": "Y"})
 _ALL_PERMS = tuple(
     {"X": a, "Y": b, "Z": c} for a, b, c in itertools.permutations(LETTERS)
 )

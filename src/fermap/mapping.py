@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from . import pauli
-from .pauli import PauliString, ProductState, computational_state
+from .pauli import PauliString, ProductState
 
 
 @dataclass(frozen=True)
@@ -138,15 +138,15 @@ def vacuum_state(m: FermionQubitMapping) -> ProductState | NonProduct:
     (no valid mapping does that: its stabilizers never generate -1).
     """
     stabs = vacuum_stabilizers(m)
-    letters: dict[int, str] = {}
+    x = z = 0  # the letters seen so far, in PauliString's code
     for s in stabs:
-        for j in s.support:
-            ell = s.letter(j)
-            seen = letters.get(j)
-            if seen is None:
-                letters[j] = ell
-            elif seen != ell:
-                return NonProduct(j, (seen, ell))
+        clash = (x | z) & (s.x | s.z) & ((x ^ s.x) | (z ^ s.z))
+        if clash:
+            j = (clash & -clash).bit_length() - 1
+            seen = PauliString(m.n, x, z).letter(j)
+            return NonProduct(j, (seen, s.letter(j)))
+        x |= s.x
+        z |= s.z
     # Solve for the per-qubit signs: stabilizer i fixes the parity of the
     # -1-eigenstate qubits inside its support.
     rows = []
@@ -158,38 +158,34 @@ def vacuum_state(m: FermionQubitMapping) -> ProductState | NonProduct:
         else:  # stabilizers of a valid mapping are Hermitian: +/-1 only
             raise ValueError("vacuum stabilizer with imaginary prefactor")
         rows.append((s.x | s.z, sign_bit))
-    assign = _solve_sign_system(m.n, rows)
+    assign = _solve_sign_system(rows)
     if assign is None:
         raise ValueError("vacuum stabilizers demand inconsistent signs")
-    states = tuple(
-        (letters.get(j, "Z"), -1 if (assign >> j) & 1 else +1) for j in range(m.n)
-    )
-    return ProductState(m.n, states, 0)
+    # qubits no stabilizer addresses sit in |0>
+    return ProductState(m.n, x, z | ~x & ((1 << m.n) - 1), assign)
 
 
-def _solve_sign_system(n: int, rows: list[tuple[int, int]]) -> int | None:
-    """Solve sum_{j in support} x_j = sign_bit over F2; None if inconsistent."""
-    system = [(mask, rhs) for mask, rhs in rows]
+def _solve_sign_system(rows: list[tuple[int, int]]) -> int | None:
+    """Solve sum_{j in mask} v_j = rhs over F2 for every (mask, rhs); None if inconsistent.
+
+    Free variables are 0.  Each pivot row is keyed by its lowest bit, so it
+    involves only its key and higher bits.
+    """
+    pivots: dict[int, tuple[int, int]] = {}  # lowest bit -> (mask, rhs)
+    for mask, rhs in rows:
+        while mask and (mask & -mask) in pivots:
+            pmask, prhs = pivots[mask & -mask]
+            mask ^= pmask
+            rhs ^= prhs
+        if mask:
+            pivots[mask & -mask] = (mask, rhs)
+        elif rhs:
+            return None
     solution = 0
-    pivots: list[tuple[int, int, int]] = []  # (col, mask, rhs)
-    for mask, rhs in system:
-        for col, pmask, prhs in pivots:
-            if (mask >> col) & 1:
-                mask ^= pmask
-                rhs ^= prhs
-        if mask == 0:
-            if rhs:
-                return None
-            continue
-        col = (mask & -mask).bit_length() - 1
-        pivots.append((col, mask, rhs))
-    # back-substitute (pivots are in elimination order)
-    for col, mask, rhs in reversed(pivots):
-        val = rhs
-        rest = mask & ~(1 << col)
-        val ^= (solution & rest).bit_count() & 1
-        if val:
-            solution |= 1 << col
+    for low in sorted(pivots, reverse=True):
+        mask, rhs = pivots[low]
+        if rhs ^ ((solution & mask).bit_count() & 1):
+            solution |= low
     return solution
 
 
@@ -364,6 +360,8 @@ def parse_mapping(text: str) -> FermionQubitMapping:
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("n="):
         raise ValueError("mapping file must start with an n=<N> header")
+    if not pauli.is_index(lines[0][2:]):
+        raise ValueError(f"mapping header must be n=<N> with N a plain decimal: {lines[0]!r}")
     n = int(lines[0][2:])
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} pair lines, found {len(lines) - 1}")

@@ -233,16 +233,16 @@ class FockReport:
         return f"{self.reason} at f={self.f:b} (deviation {self.deviation:.3g})"
 
 
-def verify_fock_basis(
-    m: "FermionQubitMapping", tol: float = TOL, sample: int | None = None, seed: int = 0
-) -> FockReport | None:
+def verify_fock_basis(m: "FermionQubitMapping", tol: float = TOL) -> FockReport | None:
     """Check stabilizer eigenvalues and orthonormality of the Fock basis.
 
-    Exhaustive over f for n <= 10; pass ``sample`` to sweep a seeded random
-    subset instead.  Each |f_m> must be a ((-1)^{f_i})-eigenstate of the
-    i-th vacuum stabilizer, and distinct f must give orthogonal states.
+    Exhaustive over f, for n <= 10.  Each |f_m> must be a
+    ((-1)^{f_i})-eigenstate of the i-th vacuum stabilizer, and distinct f
+    must give orthogonal states.
     """
-    states = dense_fock_states(m, _subset(m.n, sample, seed))
+    if m.n > 10:
+        raise ValueError("dense Fock-basis check limited to n <= 10")
+    states = dense_fock_states(m)
     for f, psi in states.items():
         for i, (a, b) in enumerate(m.pairs):
             spsi = -1j * apply_pauli(a, apply_pauli(b, psi))

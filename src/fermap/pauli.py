@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 LETTERS = ("X", "Y", "Z")  # the non-identity letters, in tree-edge order
+_LETTER_CODES = ("I", "X", "Z", "Y")  # indexed by the letter code xb + 2*zb
 
 # display sign tokens, indexed by the power of i in front of the letter product
 SIGN_TOKENS = ("+1", "+i", "-1", "-i")
@@ -51,9 +52,7 @@ class PauliString:
 
     def letter(self, j: int) -> str:
         """Local letter ('I','X','Y','Z') at qubit j."""
-        xb = (self.x >> j) & 1
-        zb = (self.z >> j) & 1
-        return ("I", "X", "Z", "Y")[xb + 2 * zb]
+        return _LETTER_CODES[(self.x >> j & 1) + 2 * (self.z >> j & 1)]
 
     def letters(self) -> tuple[str, ...]:
         return tuple(self.letter(j) for j in range(self.n))
@@ -178,103 +177,102 @@ def restrict(p: PauliString, qubits: Iterable[int]) -> PauliString:
 
 # -- symbolic product states ------------------------------------------------
 
-# state labels: (letter, sign) meaning the sign-eigenstate of the letter.
-STATE_LABELS = {
-    "0": ("Z", +1), "1": ("Z", -1),
-    "+": ("X", +1), "-": ("X", -1),
-    "r": ("Y", +1), "l": ("Y", -1),
-}
-_LABEL_CHARS = {v: k for k, v in STATE_LABELS.items()}
-
-# single-qubit actions: (letter, state) -> (power of i, new state)
-_ACTION: dict[tuple[str, tuple[str, int]], tuple[int, tuple[str, int]]] = {}
-for _L in ("X", "Y", "Z"):
-    for _s in (+1, -1):
-        _ACTION[(_L, (_L, _s))] = (0 if _s > 0 else 2, (_L, _s))
-_ACTION.update({
-    ("X", ("Z", +1)): (0, ("Z", -1)),
-    ("X", ("Z", -1)): (0, ("Z", +1)),
-    ("X", ("Y", +1)): (1, ("Y", -1)),
-    ("X", ("Y", -1)): (3, ("Y", +1)),
-    ("Y", ("Z", +1)): (1, ("Z", -1)),
-    ("Y", ("Z", -1)): (3, ("Z", +1)),
-    ("Y", ("X", +1)): (3, ("X", -1)),
-    ("Y", ("X", -1)): (1, ("X", +1)),
-    ("Z", ("X", +1)): (0, ("X", -1)),
-    ("Z", ("X", -1)): (0, ("X", +1)),
-    ("Z", ("Y", +1)): (0, ("Y", -1)),
-    ("Z", ("Y", -1)): (0, ("Y", +1)),
-})
+# one character per eigenstate: index (letter code - 1) + 3 * (sign bit), with
+# the letter code xb + 2*zb of PauliString.letter and sign bit 1 for -1
+STATE_CHARS = "+0r-1l"
 
 
 @dataclass(frozen=True)
 class ProductState:
-    """i^phase times a tensor product of single-qubit Pauli eigenstates."""
+    """i^phase times a tensor product of single-qubit Pauli eigenstates.
+
+    Qubit j is the eigenstate of the letter with bits j of ``x`` and ``z``
+    (PauliString's letter code) whose eigenvalue is -1 iff bit j of ``s``
+    is set.
+    """
 
     n: int
-    qubit_states: tuple[tuple[str, int], ...]
+    x: int
+    z: int
+    s: int
     phase: int = 0
 
     def __post_init__(self):
-        if len(self.qubit_states) != self.n:
-            raise ValueError("need exactly one eigenstate label per qubit")
-        for st in self.qubit_states:
-            if st not in _LABEL_CHARS:
-                raise ValueError(f"bad eigenstate label {st!r}")
+        if self.n < 0 or self.x | self.z != (1 << self.n) - 1:
+            raise ValueError("need exactly one eigenstate letter per qubit")
+        if self.s >> self.n:
+            raise ValueError("sign bits outside qubit range")
         object.__setattr__(self, "phase", self.phase % 4)
 
+    @property
+    def qubit_states(self) -> tuple[tuple[str, int], ...]:
+        """(letter, +1 or -1) per qubit: a view derived from the masks."""
+        return tuple(
+            (_LETTER_CODES[(self.x >> j & 1) + 2 * (self.z >> j & 1)], -1 if self.s >> j & 1 else 1)
+            for j in range(self.n)
+        )
+
     def with_phase(self, phase: int) -> "ProductState":
-        return ProductState(self.n, self.qubit_states, phase)
+        return ProductState(self.n, self.x, self.z, self.s, phase)
 
     def is_computational(self) -> bool:
-        return all(letter == "Z" for letter, _ in self.qubit_states)
+        return self.x == 0
 
     def bits(self) -> int:
         """Bitmask of qubits in the -1 Z-eigenstate; only for computational states."""
         if not self.is_computational():
             raise ValueError("state is not a computational basis state")
-        out = 0
-        for j, (_, s) in enumerate(self.qubit_states):
-            if s < 0:
-                out |= 1 << j
-        return out
+        return self.s
+
+    def __repr__(self) -> str:
+        return f"ProductState(n={self.n}, qubit_states={self.qubit_states!r}, phase={self.phase})"
 
     def __str__(self) -> str:
-        body = "".join(_LABEL_CHARS[st] for st in self.qubit_states)
+        body = "".join(
+            STATE_CHARS[(self.x >> j & 1) + 2 * (self.z >> j & 1) - 1 + 3 * (self.s >> j & 1)]
+            for j in range(self.n)
+        )
         return f"{SIGN_TOKENS[self.phase]} |{body}>"
 
 
 def computational_state(n: int, bits: int) -> ProductState:
     """|bits> with qubit j in |1> iff bit j of ``bits`` is set."""
-    states = tuple(("Z", -1 if (bits >> j) & 1 else +1) for j in range(n))
-    return ProductState(n, states, 0)
+    mask = (1 << n) - 1
+    return ProductState(n, 0, mask, bits & mask)
 
 
 def state_from_chars(chars: str) -> ProductState:
-    """Parse a product state from one character per qubit (see STATE_LABELS)."""
-    try:
-        states = tuple(STATE_LABELS[c] for c in chars)
-    except KeyError as exc:
-        raise ValueError(f"bad state character {exc.args[0]!r}") from None
-    return ProductState(len(chars), states, 0)
+    """Parse a product state from one character per qubit (see STATE_CHARS)."""
+    x = z = s = 0
+    for j, c in enumerate(chars):
+        k = STATE_CHARS.find(c)
+        if k < 0:
+            raise ValueError(f"bad state character {c!r}")
+        code = k % 3 + 1
+        x |= (code & 1) << j
+        z |= (code >> 1) << j
+        s |= (k // 3) << j
+    return ProductState(len(chars), x, z, s)
 
 
 def apply_to_product_state(p: PauliString, s: ProductState) -> ProductState:
-    """Exact action p|s>, a new product state with the global i^k phase."""
+    """Exact action p|s>, a new product state with the global i^k phase.
+
+    p's Z block acts first: it flips the sign of X and Y eigenstates and
+    gives -1 on |1>.  Its X block then flips Z and Y eigenstates, gives -1
+    on |->, and i or -i on |r> or |l>.
+    """
     if p.n != s.n:
         raise DimensionMismatch(f"{p.n}-qubit operator on {s.n}-qubit state")
-    phase = p.phase + s.phase
-    states = list(s.qubit_states)
-    for j in range(p.n):
-        xb = (p.x >> j) & 1
-        zb = (p.z >> j) & 1
-        if zb:  # Z block acts first
-            k, states[j] = _ACTION[("Z", states[j])]
-            phase += k
-        if xb:
-            k, states[j] = _ACTION[("X", states[j])]
-            phase += k
-    return ProductState(s.n, tuple(states), phase)
+    x, z = s.x, s.z
+    signs = s.s ^ (p.z & x)
+    phase = (
+        p.phase + s.phase
+        + 2 * (p.z & z & ~x & s.s).bit_count()
+        + 2 * (p.x & x & signs).bit_count()
+        + (p.x & x & z).bit_count()
+    )
+    return ProductState(s.n, x, z, signs ^ (p.x & z), phase)
 
 
 # -- text format -------------------------------------------------------------

@@ -324,9 +324,9 @@ def revacuum(
         transforms.append((q, _pair_transform((a, b), canon_old.pairs[q])))
 
     perms: list[dict[str, str]] = []
-    for q in range(t.n):
-        ob, oc = _STAB_PAIR[old.qubit_states[q]]
-        nb, nc = _STAB_PAIR[target.qubit_states[q]]
+    for old_state, new_state in zip(old.qubit_states, target.qubit_states):
+        ob, oc = _STAB_PAIR[old_state]
+        nb, nc = _STAB_PAIR[new_state]
         rho = {ob: nb, oc: nc}
         (last_old,) = set(LETTERS) - {ob, oc}
         (last_new,) = set(LETTERS) - {nb, nc}

@@ -210,6 +210,13 @@ def test_non_canonical_indices_are_input_errors(tmp_path, capsys):
     assert code == 2 and "vertex label" in err
 
 
+def test_signed_mapping_header_is_input_error(tmp_path, capsys):
+    path = tmp_path / "m.map"
+    path.write_text(mapping.format_mapping(mapping.jordan_wigner(1)).replace("n=1", "n=+1"))
+    code, _, err = run(capsys, "verify", "--mapping", str(path))
+    assert code == 2 and "n=+1" in err
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run(capsys, "verify", "--mapping", "/nonexistent.map")
     assert code == 2 and "/nonexistent.map" in err

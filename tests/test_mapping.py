@@ -93,6 +93,7 @@ def test_vacuum_state_jw():
 def test_vacuum_non_product(product_breaking_two_mode):
     vac = mapping.vacuum_state(product_breaking_two_mode)
     assert isinstance(vac, NonProduct)
+    assert vac == NonProduct(qubit=0, letters=("Y", "X"))
 
 
 @pytest.mark.parametrize("n", [2, 11])
@@ -103,6 +104,29 @@ def test_vacuum_inconsistent_signs_raise(n):
     assert [str(s) for s in mapping.vacuum_stabilizers(m)[:2]] == ["+1 Z0", "-1 Z0"]
     with pytest.raises(ValueError, match="inconsistent signs"):
         mapping.vacuum_state(m)
+
+
+def test_solve_sign_system_matches_exhaustive_search():
+    """None exactly when no assignment satisfies every row, else a solution."""
+    rng = random.Random(27)
+    inconsistent = 0
+    for _ in range(400):
+        n = rng.randrange(1, 9)
+        rows = [(rng.randrange(1, 1 << n), rng.randrange(2)) for _ in range(rng.randrange(1, n + 3))]
+        if rng.random() < 0.5:  # make the right-hand sides consistent with a hidden solution
+            hidden = rng.randrange(1 << n)
+            rows = [(mask, (mask & hidden).bit_count() & 1) for mask, _ in rows]
+
+        def satisfies(v):
+            return all((mask & v).bit_count() & 1 == rhs for mask, rhs in rows)
+
+        got = mapping._solve_sign_system(rows)
+        if got is None:
+            inconsistent += 1
+            assert not any(satisfies(v) for v in range(1 << n))
+        else:
+            assert satisfies(got)
+    assert inconsistent > 50
 
 
 def test_vacuum_stabilizers_of_parity_are_z_only():
@@ -255,6 +279,12 @@ def test_parse_mapping_rejects_malformed():
     ):
         with pytest.raises(ValueError):
             mapping.parse_mapping(bad)
+
+
+@pytest.mark.parametrize("header", ["n=+1", "n=01", "n=\u0661", "n= 1"])
+def test_parse_mapping_rejects_non_canonical_header(header):
+    with pytest.raises(ValueError, match="header"):
+        mapping.parse_mapping(f"{header}\npair 0: +1 X0 ; +1 Y0\n")
 
 
 def test_classical_fock_states_are_injective():

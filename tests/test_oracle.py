@@ -112,6 +112,12 @@ def test_verify_fock_basis_accepts_and_reports():
     assert oracle.verify_fock_basis(mapping.named_mapping("parity", 4)) is None
 
 
+def test_verify_fock_basis_is_exhaustive_only():
+    with pytest.raises(ValueError, match="n <= 10") as err:
+        oracle.verify_fock_basis(mapping.jordan_wigner(11))
+    assert "sample" not in str(err.value)
+
+
 def test_verify_linear_jw():
     for n in (1, 3, 5):
         assert oracle.verify_linear(mapping.jordan_wigner(n), gf2.identity_matrix(n)) is None

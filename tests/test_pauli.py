@@ -148,7 +148,7 @@ def test_hermiticity_predicate():
 def test_apply_to_product_state_basics():
     s0 = pauli.computational_state(1, 0)
     out = pauli.apply_to_product_state(pauli.single(1, "X", 0), s0)
-    assert out == ProductState(1, (("Z", -1),), 0)
+    assert out == pauli.computational_state(1, 1)
 
     # gamma_2 = Z0X1 on |00> gives |01> with coefficient +1
     s00 = pauli.computational_state(2, 0)
@@ -156,6 +156,24 @@ def test_apply_to_product_state_basics():
     out = pauli.apply_to_product_state(g2, s00)
     assert out == pauli.computational_state(2, 0b10)
     assert out.phase == 0
+
+
+def test_product_state_pinned_text():
+    s = pauli.state_from_chars("0+r1-l")
+    assert repr(s) == (
+        "ProductState(n=6, qubit_states=(('Z', 1), ('X', 1), ('Y', 1), "
+        "('Z', -1), ('X', -1), ('Y', -1)), phase=0)"
+    )
+    assert str(s.with_phase(3)) == "-i |0+r1-l>"
+
+
+def test_product_state_rejects_bad_masks():
+    with pytest.raises(ValueError):
+        ProductState(2, 0b01, 0b00, 0)  # qubit 1 has no letter
+    with pytest.raises(ValueError):
+        ProductState(2, 0b00, 0b11, 0b100)  # sign bit beyond n
+    with pytest.raises(ValueError):
+        ProductState(2, 0b00, 0b111, 0)  # letter bit beyond n
 
 
 def test_apply_y_phases_match_dense():
@@ -172,10 +190,8 @@ def test_apply_matches_dense_on_all_eigenstates():
     for _ in range(300):
         n = rng.randrange(1, 5)
         p = random_pauli(rng, n)
-        states = tuple(
-            (rng.choice("XYZ"), rng.choice((1, -1))) for _ in range(n)
-        )
-        s = ProductState(n, states, rng.randrange(4))
+        chars = "".join(rng.choice("01+-rl") for _ in range(n))
+        s = pauli.state_from_chars(chars).with_phase(rng.randrange(4))
         out = pauli.apply_to_product_state(p, s)
         assert np.allclose(dense_state(out), dense(p) @ dense_state(s), atol=1e-12)
 
@@ -185,8 +201,7 @@ def test_apply_commutes_with_multiply():
     for _ in range(1000):
         n = rng.randrange(1, 9)
         p, q = random_pauli(rng, n), random_pauli(rng, n)
-        states = tuple((rng.choice("XYZ"), rng.choice((1, -1))) for _ in range(n))
-        s = ProductState(n, states, 0)
+        s = pauli.state_from_chars("".join(rng.choice("01+-rl") for _ in range(n)))
         via_two = pauli.apply_to_product_state(p, pauli.apply_to_product_state(q, s))
         via_one = pauli.apply_to_product_state(pauli.multiply(p, q), s)
         assert via_two == via_one
