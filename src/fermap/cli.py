@@ -183,6 +183,9 @@ def cmd_classify2(args) -> int:
 def cmd_equivalent(args) -> int:
     m1 = _load_mapping(args.a)
     m2 = _load_mapping(args.b)
+    for path, m in ((args.a, m1), (args.b, m2)):
+        if (bad := fqm.validate(m)) is not None:
+            raise InputError(f"invalid mapping {path}: {bad}")
     if m1.n != m2.n:
         raise InputError("mappings have different mode counts")
     if m1.n > args.max_n:

@@ -12,6 +12,7 @@ through apply_symmetry and reproduce the target exactly.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -22,6 +23,15 @@ from .pauli import LETTERS, PauliString
 
 _ALL_PERMS = tuple(
     {"X": a, "Y": b, "Z": c} for a, b, c in itertools.permutations(LETTERS)
+)
+
+# Each letter permutation as the GL(2,2) matrix (a, b, c, d) acting on one
+# qubit's bits by x' = a x ^ b z, z' = c x ^ d z.  Its columns are the codes
+# of rho(X) and rho(Z) (X = (1, 0), Z = (0, 1)); rho(Y) = rho(X) + rho(Z)
+# follows by linearity, since the three nonzero vectors of F_2^2 are X, Y, Z.
+_MATRICES = tuple(
+    (int(rho["X"] != "Z"), int(rho["Z"] != "Z"), int(rho["X"] != "X"), int(rho["Z"] != "X"))
+    for rho in _ALL_PERMS
 )
 
 
@@ -57,14 +67,9 @@ class LocalBasisChange:
         letters = [ell for ell, _ in self.image]
         if sorted(letters) != sorted(LETTERS):
             raise ValueError("image letters must be a permutation of X, Y, Z")
-        rho = dict(zip(LETTERS, letters))
-        sign_product = 1
-        for _, s in self.image:
-            if s not in (1, -1):
-                raise ValueError("signs must be +1 or -1")
-            sign_product *= s
-        want = 1 if _perm_parity(rho) == 0 else -1
-        if sign_product != want:
+        if any(s not in (1, -1) for _, s in self.image):
+            raise ValueError("signs must be +1 or -1")
+        if math.prod(s for _, s in self.image) != (-1) ** _perm_parity(dict(zip(LETTERS, letters))):
             raise ValueError("signed letter permutation is not a Clifford image")
 
 
@@ -97,23 +102,30 @@ class FermionSwap:
 SymmetryOp = Union[QubitSwap, LocalBasisChange, PairBraid, SignChange, FermionSwap]
 
 
+def _move_bits(mask: int, perm) -> int:
+    """The mask with bit i moved to bit perm[i]."""
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def _permute_qubits(p: PauliString, perm: tuple[int, ...]) -> PauliString:
-    letters = p.letters()
-    moved = ["I"] * p.n
-    for i, ell in enumerate(letters):
-        moved[perm[i]] = ell
-    return pauli.from_letters(moved, p.display_power())
+    # moving bits keeps the Y count, so the phase keeps the display power
+    return PauliString(p.n, _move_bits(p.x, perm), _move_bits(p.z, perm), p.phase)
 
 
 def _relabel_letters(p: PauliString, qubit: int, image) -> PauliString:
-    letters = list(p.letters())
-    ell = letters[qubit]
+    ell = p.letter(qubit)
     if ell == "I":
         return p
     new_letter, sign = image[LETTERS.index(ell)]
-    letters[qubit] = new_letter
-    extra = 2 if sign < 0 else 0
-    return pauli.from_letters(letters, p.display_power() + extra)
+    keep = ~(1 << qubit)
+    x = p.x & keep | (new_letter != "Z") << qubit
+    z = p.z & keep | (new_letter != "X") << qubit
+    return PauliString(p.n, x, z, p.display_power() + 2 * (sign < 0) + (x & z).bit_count())
 
 
 def apply_symmetry(m: FermionQubitMapping, op: SymmetryOp) -> FermionQubitMapping:
@@ -162,30 +174,41 @@ def apply_symmetries(m: FermionQubitMapping, ops) -> FermionQubitMapping:
 
 # -- fingerprint -----------------------------------------------------------------
 
+# A qubit's unordered letter pair is stored as the set (a 4-bit mask) of its
+# letter codes x + 2z; each renaming permutes the 16 sets through its code map.
+_SET_MAPS = tuple(
+    tuple(sum(1 << cm[c] for c in range(4) if s >> c & 1) for s in range(16))
+    for cm in ((0, a | c << 1, b | d << 1, a ^ b | (c ^ d) << 1) for a, b, c, d in _MATRICES)
+)
+
+
 def fingerprint(m: FermionQubitMapping):
     """Canonical invariant under all five symmetry kinds.
 
     Combines the multiset of per-pair weight signatures with, per qubit,
-    the multiset of unordered local letter pairs canonicalized over letter
-    renamings; the qubit entries are themselves sorted.  Equal mappings
-    give equal fingerprints; distinct fingerprints prove inequivalence.
+    the counts of unordered local letter pairs canonicalized over letter
+    renamings (the all-identity count follows from n); the qubit entries
+    are themselves sorted.  Equal mappings give equal fingerprints;
+    distinct fingerprints prove inequivalence.
     """
     weight_sig = tuple(
         sorted(tuple(sorted((a.weight(), b.weight()))) for a, b in m.pairs)
     )
-    qubit_parts = []
-    for q in range(m.n):
-        raw = [tuple(sorted((a.letter(q), b.letter(q)))) for a, b in m.pairs]
-        best = None
-        for rho in _ALL_PERMS:
-            renamed = sorted(
-                tuple(sorted(rho.get(ell, "I") for ell in item)) for item in raw
-            )
-            key = tuple(renamed)
-            if best is None or key < best:
-                best = key
-        qubit_parts.append(best)
-    return (m.n, weight_sig, tuple(sorted(qubit_parts)))
+    counts = [[0] * 16 for _ in range(m.n)]
+    for a, b in m.pairs:
+        ax, az, bx, bz = a.x, a.z, b.x, b.z
+        support = ax | az | bx | bz
+        while support:
+            low = support & -support
+            j = low.bit_length() - 1
+            ca = (ax >> j & 1) | (az >> j & 1) << 1
+            cb = (bx >> j & 1) | (bz >> j & 1) << 1
+            counts[j][1 << ca | 1 << cb] += 1
+            support ^= low
+    qubit_parts = sorted(
+        min(tuple(row[s] for s in set_map) for set_map in _SET_MAPS) for row in counts
+    )
+    return (m.n, weight_sig, tuple(qubit_parts))
 
 
 # -- equivalence decision ----------------------------------------------------------
@@ -203,10 +226,6 @@ class Inequivalent:
 @dataclass(frozen=True)
 class Unknown:
     reason: str
-
-
-def _unsigned_key(p: PauliString) -> tuple[int, int]:
-    return (p.x, p.z)
 
 
 def equivalent(
@@ -227,51 +246,42 @@ def equivalent(
         return Equivalent(())
     if fingerprint(m1) != fingerprint(m2):
         return Inequivalent("fingerprints differ")
-    total = 1
-    for k in range(2, n + 1):
-        total *= k
-    total *= 6**n
+    total = math.factorial(n) * 6**n
     if total > budget:
         return Unknown(f"search space {total} exceeds budget {budget}")
 
-    target_pairs: dict[frozenset, int] = {}
-    for mode, (a, b) in enumerate(m2.pairs):
-        target_pairs[frozenset((_unsigned_key(a), _unsigned_key(b)))] = mode
-
-    m1_letters = [(a.letters(), b.letters()) for a, b in m1.pairs]
+    target_pairs = {
+        frozenset(((a.x, a.z), (b.x, b.z))): mode for mode, (a, b) in enumerate(m2.pairs)
+    }
+    # per rho-tuple, in itertools.product order, the masks (A, B, C, D) with
+    # bit q holding rho_q's matrix: x' = x & A ^ z & B, z' = x & C ^ z & D
+    masks = [(0, 0, 0, 0)]
+    for q in range(n):
+        masks = [
+            (a | ra << q, b | rb << q, c | rc << q, d | rd << q)
+            for a, b, c, d in masks
+            for ra, rb, rc, rd in _MATRICES
+        ]
 
     for sigma in itertools.permutations(range(n)):
-        for rhos in itertools.product(range(6), repeat=n):
-            ok = True
+        moved = [tuple(_move_bits(v, sigma) for v in (a.x, a.z, b.x, b.z)) for a, b in m1.pairs]
+        for rhos, (ma, mb, mc, md) in zip(itertools.product(range(6), repeat=n), masks):
             assignment: list[int | None] = [None] * n
-            for mode, (la, lb) in enumerate(m1_letters):
-                ka = _transform_key(la, sigma, rhos, n)
-                kb = _transform_key(lb, sigma, rhos, n)
-                hit = target_pairs.get(frozenset((ka, kb)))
+            for mode, (ax, az, bx, bz) in enumerate(moved):
+                hit = target_pairs.get(frozenset((
+                    (ax & ma ^ az & mb, ax & mc ^ az & md),
+                    (bx & ma ^ bz & mb, bx & mc ^ bz & md),
+                )))
                 if hit is None:
-                    ok = False
                     break
                 assignment[hit] = mode
-            if not ok or any(v is None for v in assignment):
-                continue
-            ops = _build_witness(m1, m2, sigma, rhos, assignment)
-            if ops is not None:
-                return Equivalent(ops)
+            else:
+                if None in assignment:
+                    continue
+                ops = _build_witness(m1, m2, sigma, rhos, assignment)
+                if ops is not None:
+                    return Equivalent(ops)
     return Inequivalent("no labelling symmetry matches")
-
-
-def _transform_key(letters, sigma, rhos, n) -> tuple[int, int]:
-    x = z = 0
-    for i, ell in enumerate(letters):
-        if ell == "I":
-            continue
-        q = sigma[i]
-        new = _ALL_PERMS[rhos[q]][ell]
-        if new in ("X", "Y"):
-            x |= 1 << q
-        if new in ("Z", "Y"):
-            z |= 1 << q
-    return (x, z)
 
 
 def _build_witness(m1, m2, sigma, rhos, assignment) -> tuple[SymmetryOp, ...] | None:
@@ -282,11 +292,9 @@ def _build_witness(m1, m2, sigma, rhos, assignment) -> tuple[SymmetryOp, ...] | 
         rho = _ALL_PERMS[rhos[q]]
         if all(rho[ell] == ell for ell in LETTERS):
             continue
-        if _perm_parity(rho) == 0:
-            image = tuple((rho[ell], 1) for ell in LETTERS)
-        else:
-            fixed = next(ell for ell in LETTERS if rho[ell] == ell)
-            image = tuple((rho[ell], -1 if ell == fixed else 1) for ell in LETTERS)
+        # a transposition carries its minus sign on the letter it fixes
+        odd = _perm_parity(rho)
+        image = tuple((rho[ell], -1 if odd and rho[ell] == ell else 1) for ell in LETTERS)
         ops.append(LocalBasisChange(q, image))  # type: ignore[arg-type]
     if tuple(assignment) != tuple(range(m1.n)):
         ops.append(FermionSwap(tuple(assignment)))
@@ -294,7 +302,7 @@ def _build_witness(m1, m2, sigma, rhos, assignment) -> tuple[SymmetryOp, ...] | 
     for mode in range(m1.n):
         a, b = current.pairs[mode]
         c, d = m2.pairs[mode]
-        if _unsigned_key(a) != _unsigned_key(c):
+        if (a.x, a.z) != (c.x, c.z):
             ops.append(PairBraid(mode, 1))
             a, b = b.negated(), a
         if a != c:

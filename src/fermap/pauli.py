@@ -54,9 +54,6 @@ class PauliString:
         """Local letter ('I','X','Y','Z') at qubit j."""
         return _LETTER_CODES[(self.x >> j & 1) + 2 * (self.z >> j & 1)]
 
-    def letters(self) -> tuple[str, ...]:
-        return tuple(self.letter(j) for j in range(self.n))
-
     @property
     def support(self) -> tuple[int, ...]:
         m = self.x | self.z
@@ -114,19 +111,12 @@ def single(n: int, letter: str, j: int, power: int = 0) -> PauliString:
 def from_letters(letters: Sequence[str], power: int = 0) -> PauliString:
     """Build i^power times the tensor product of the given letters."""
     x = z = 0
-    y = 0
     for j, ell in enumerate(letters):
-        if ell == "X":
-            x |= 1 << j
-        elif ell == "Z":
-            z |= 1 << j
-        elif ell == "Y":
-            x |= 1 << j
-            z |= 1 << j
-            y += 1
-        elif ell != "I":
+        if ell not in _LETTER_CODES:
             raise ValueError(f"unknown Pauli letter {ell!r}")
-    return PauliString(len(letters), x, z, power + y)
+        x |= (ell in "XY") << j
+        z |= (ell in "YZ") << j
+    return PauliString(len(letters), x, z, power + (x & z).bit_count())
 
 
 def multiply(p: PauliString, q: PauliString) -> PauliString:
@@ -237,8 +227,7 @@ class ProductState:
 
 def computational_state(n: int, bits: int) -> ProductState:
     """|bits> with qubit j in |1> iff bit j of ``bits`` is set."""
-    mask = (1 << n) - 1
-    return ProductState(n, 0, mask, bits & mask)
+    return ProductState(n, 0, (1 << n) - 1, bits)
 
 
 def state_from_chars(chars: str) -> ProductState:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from . import pauli
 from .encoding import flip_matrix
-from .gf2 import BinMatrix, invert
+from .gf2 import BinMatrix
 from .mapping import FermionQubitMapping, NonProduct, vacuum_state
 from .pauli import LETTERS, PauliString, ProductState
 
@@ -193,9 +193,7 @@ def canonical_mapping(t: TernaryTree) -> FermionQubitMapping:
 
 def tree_matrix(t: TernaryTree) -> BinMatrix:
     """G_T with column j the X/Y support of the canonical mapping's G_2j."""
-    g = flip_matrix(canonical_mapping(t))
-    invert(g)  # G_T is always invertible; fail loudly otherwise
-    return g
+    return flip_matrix(canonical_mapping(t))
 
 
 # -- product-vacuum pairing ----------------------------------------------------

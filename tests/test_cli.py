@@ -176,6 +176,18 @@ def test_equivalent_respects_max_n(tmp_path, capsys):
     assert code == 1 and out.startswith("Unknown")
 
 
+def test_equivalent_rejects_invalid_mapping(tmp_path, capsys):
+    bad = tmp_path / "bad.map"
+    bad.write_text("n=1\npair 0: +1 X0 ; +1 X0\n")
+    code, out, err = run(capsys, "equivalent", "--a", str(bad), "--b", str(bad))
+    assert code == 2 and out == ""
+    assert str(bad) in err and "operators 0 and 1 do not anticommute" in err
+    good = tmp_path / "good.map"
+    good.write_text(mapping.format_mapping(mapping.jordan_wigner(1)))
+    code, _, err = run(capsys, "equivalent", "--a", str(good), "--b", str(bad))
+    assert code == 2 and str(bad) in err
+
+
 def test_transform(tmp_path, capsys):
     path = tmp_path / "m.map"
     path.write_text(mapping.format_mapping(mapping.jordan_wigner(2)))

@@ -1,5 +1,6 @@
 """Labelling symmetries, fingerprints, equivalence search, two-mode census."""
 
+import itertools
 import random
 
 import pytest
@@ -104,6 +105,134 @@ def test_apply_symmetry_preserves_validity_and_fingerprint():
             m = equiv.apply_symmetry(m, random_op(rng, n))
         assert mapping.validate(m) is None
         assert equiv.fingerprint(m) == fp
+
+
+# -- letter-walk references --------------------------------------------------------
+
+
+def _letters(p):
+    return [p.letter(j) for j in range(p.n)]
+
+
+def _permute_qubits_ref(p, perm):
+    moved = ["I"] * p.n
+    for i, ell in enumerate(_letters(p)):
+        moved[perm[i]] = ell
+    return pauli.from_letters(moved, p.display_power())
+
+
+def _relabel_letters_ref(p, qubit, image):
+    letters = _letters(p)
+    ell = letters[qubit]
+    if ell == "I":
+        return p
+    new_letter, sign = image[pauli.LETTERS.index(ell)]
+    letters[qubit] = new_letter
+    return pauli.from_letters(letters, p.display_power() + (2 if sign < 0 else 0))
+
+
+def _apply_symmetry_ref(m, op):
+    if isinstance(op, QubitSwap):
+        relabel = lambda p: _permute_qubits_ref(p, op.perm)  # noqa: E731
+    elif isinstance(op, LocalBasisChange):
+        relabel = lambda p: _relabel_letters_ref(p, op.qubit, op.image)  # noqa: E731
+    else:  # braids, signs and mode swaps never touch letters
+        return equiv.apply_symmetry(m, op)
+    return mapping.FermionQubitMapping(m.n, tuple((relabel(a), relabel(b)) for a, b in m.pairs))
+
+
+def _fingerprint_ref(m):
+    weight_sig = tuple(sorted(tuple(sorted((a.weight(), b.weight()))) for a, b in m.pairs))
+    qubit_parts = []
+    for q in range(m.n):
+        raw = [tuple(sorted((a.letter(q), b.letter(q)))) for a, b in m.pairs]
+        qubit_parts.append(min(
+            tuple(sorted(tuple(sorted(rho.get(ell, "I") for ell in item)) for item in raw))
+            for rho in equiv._ALL_PERMS
+        ))
+    return (m.n, weight_sig, tuple(sorted(qubit_parts)))
+
+
+def _sample_mappings(rng, count):
+    named = [mapping.named_mapping(name, n) for name in ("jordan_wigner", "parity")
+             for n in range(1, 9)] + [mapping.named_mapping("bravyi_kitaev", n) for n in (2, 4, 8)]
+    trees = [ttree.canonical_mapping(ttree.random_tree(rng.randrange(1, 9), rng.randrange(10**6)))
+             for _ in range(count - len(named))]
+    return named + trees
+
+
+def test_apply_symmetry_matches_letter_walk():
+    rng = random.Random(55)
+    images = []
+    for letters in itertools.permutations("XYZ"):
+        for signs in itertools.product((1, -1), repeat=3):
+            try:
+                LocalBasisChange(0, tuple(zip(letters, signs)))
+            except ValueError:
+                continue
+            images.append(tuple(zip(letters, signs)))
+    assert len(images) == 24
+    kinds = set()
+    for m in _sample_mappings(rng, 60):
+        ops = [random_op(rng, m.n) for _ in range(5)]
+        ops += [LocalBasisChange(rng.randrange(m.n), image) for image in rng.sample(images, 6)]
+        rng.shuffle(ops)
+        for op in ops:
+            kinds.add(type(op))
+            out = equiv.apply_symmetry(m, op)
+            assert out == _apply_symmetry_ref(m, op), op
+            m = out
+    # every signed image on every qubit of a mapping with all three letters
+    m = mapping.named_mapping("bravyi_kitaev", 4)
+    for q in range(4):
+        for image in images:
+            op = LocalBasisChange(q, image)
+            assert equiv.apply_symmetry(m, op) == _apply_symmetry_ref(m, op)
+    assert kinds == {QubitSwap, LocalBasisChange, PairBraid, SignChange, FermionSwap}
+
+
+def _change_one_letter(rng, m):
+    """m with one letter of one operator renamed: every weight stays the same."""
+    gammas = list(m.gammas)
+    k = rng.randrange(2 * m.n)
+    p = gammas[k]
+    j = rng.choice(p.support)
+    code = rng.choice([c for c in (1, 2, 3) if c != (p.x >> j & 1) | (p.z >> j & 1) << 1])
+    keep = ~(1 << j)
+    gammas[k] = pauli.PauliString(
+        m.n, p.x & keep | (code & 1) << j, p.z & keep | (code >> 1) << j, p.phase
+    )
+    return mapping.FermionQubitMapping(m.n, tuple(zip(gammas[::2], gammas[1::2])))
+
+
+def test_fingerprint_relation_matches_multiset_reference():
+    rng = random.Random(56)
+    outcomes = {True: 0, False: 0}
+    same_weights = 0
+    mappings = _sample_mappings(rng, 160)
+    for m1 in mappings:
+        relabelled = equiv.apply_symmetries(m1, [random_op(rng, m1.n) for _ in range(4)])
+        changed = equiv.apply_symmetries(_change_one_letter(rng, m1), [random_op(rng, m1.n)])
+        same_n = [m for m in mappings if m.n == m1.n]
+        for m2 in (relabelled, changed, rng.choice(same_n), rng.choice(same_n)):
+            same = equiv.fingerprint(m1) == equiv.fingerprint(m2)
+            ref1, ref2 = _fingerprint_ref(m1), _fingerprint_ref(m2)
+            assert same == (ref1 == ref2)
+            outcomes[same] += 1
+            same_weights += not same and ref1[1] == ref2[1]
+    # the per-qubit parts, not just the weight signatures, must decide many pairs
+    assert min(outcomes.values()) >= 100 and same_weights >= 100
+
+
+def test_symmetries_and_fingerprint_at_thousand_modes():
+    m = ttree.canonical_mapping(ttree.random_tree(1000, 1))
+    fp = equiv.fingerprint(m)
+    perm = list(range(1000))
+    random.Random(57).shuffle(perm)
+    m = equiv.apply_symmetry(m, QubitSwap(tuple(perm)))
+    m = equiv.apply_symmetry(m, LocalBasisChange(perm[0], (("Y", 1), ("X", 1), ("Z", -1))))
+    assert mapping.validate(m) is None
+    assert equiv.fingerprint(m) == fp
 
 
 def test_equivalent_reflexive():

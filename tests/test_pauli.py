@@ -176,6 +176,13 @@ def test_product_state_rejects_bad_masks():
         ProductState(2, 0b00, 0b111, 0)  # letter bit beyond n
 
 
+def test_computational_state_rejects_out_of_range_bits():
+    assert pauli.computational_state(2, 0b11).bits() == 0b11
+    for bits in (0b100, -1):
+        with pytest.raises(ValueError):
+            pauli.computational_state(2, bits)
+
+
 def test_apply_y_phases_match_dense():
     y0 = pauli.single(1, "Y", 0)
     plus = pauli.apply_to_product_state(y0, pauli.computational_state(1, 0))

@@ -216,6 +216,13 @@ def test_tree_matrix_reproduces_fock_states():
         assert oracle.verify_linear(m, g) is None
 
 
+def test_tree_matrix_is_invertible():
+    rng = random.Random(49)
+    trees = [ttree.random_tree(rng.randrange(1, 61), seed) for seed in range(120)]
+    for t in trees + [ttree.complete_tree(4)]:
+        gf2.invert(ttree.tree_matrix(t))
+
+
 def test_complete_tree_sizes_and_shape():
     assert ttree.complete_tree(1).n == 1
     t4 = ttree.complete_tree(2)
