@@ -236,10 +236,9 @@ def _parse_term(text: str, n: int) -> list[tuple[int, bool]]:
             dagger = False
         else:
             raise InputError(f"bad ladder operator {op!r}")
-        try:
-            mode = int(mode_tok)
-        except ValueError:
-            raise InputError(f"bad mode index {mode_tok!r}") from None
+        if not pauli.is_index(mode_tok):
+            raise InputError(f"bad mode index {mode_tok!r}")
+        mode = int(mode_tok)
         if not 0 <= mode < n:
             raise InputError(f"mode {mode} out of range for n={n}")
         ops.append((mode, dagger))

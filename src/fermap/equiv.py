@@ -146,6 +146,8 @@ def apply_symmetry(m: FermionQubitMapping, op: SymmetryOp) -> FermionQubitMappin
         )
         return FermionQubitMapping(m.n, pairs)
     if isinstance(op, PairBraid):
+        if not 0 <= op.mode < m.n:
+            raise ValueError("mode out of range")
         a, b = m.pairs[op.mode]
         new_pair = (b.negated(), a) if op.direction == 1 else (b, a.negated())
         pairs = list(m.pairs)
@@ -400,6 +402,12 @@ def format_ops(ops) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _index(token: str) -> int:
+    if not pauli.is_index(token):
+        raise ValueError(f"bad index {token!r}")
+    return int(token)
+
+
 def parse_ops(text: str) -> tuple[SymmetryOp, ...]:
     ops: list[SymmetryOp] = []
     for line in text.splitlines():
@@ -408,9 +416,9 @@ def parse_ops(text: str) -> tuple[SymmetryOp, ...]:
             continue
         head, *rest = line.split()
         if head == "qubit-swap":
-            ops.append(QubitSwap(tuple(int(t) for t in rest)))
+            ops.append(QubitSwap(tuple(map(_index, rest))))
         elif head == "basis-change" and rest:
-            qubit = int(rest[0])
+            qubit = _index(rest[0])
             image = []
             for tok in rest[1:]:
                 src, dst = tok.split("->")
@@ -418,11 +426,11 @@ def parse_ops(text: str) -> tuple[SymmetryOp, ...]:
                 image.append((dst.lstrip("-"), sign))
             ops.append(LocalBasisChange(qubit, tuple(image)))  # type: ignore[arg-type]
         elif head == "pair-braid" and len(rest) == 2 and rest[1] in ("+", "-"):
-            ops.append(PairBraid(int(rest[0]), 1 if rest[1] == "+" else -1))
+            ops.append(PairBraid(_index(rest[0]), 1 if rest[1] == "+" else -1))
         elif head == "sign-change" and len(rest) == 1:
-            ops.append(SignChange(int(rest[0])))
+            ops.append(SignChange(_index(rest[0])))
         elif head == "fermion-swap":
-            ops.append(FermionSwap(tuple(int(t) for t in rest)))
+            ops.append(FermionSwap(tuple(map(_index, rest))))
         else:
             raise ValueError(f"unknown or malformed op line {line!r}")
     return tuple(ops)

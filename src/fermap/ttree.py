@@ -23,17 +23,8 @@ from .gf2 import BinMatrix
 from .mapping import FermionQubitMapping, NonProduct, vacuum_state
 from .pauli import LETTERS, PauliString, ProductState
 
+# An edge is its slot k in TernaryTree.children: 0, 1, 2 for X, Y, Z.
 _SLOT = {"X": 0, "Y": 1, "Z": 2}
-
-# ordered anticommuting pair (B, C) with -iBC stabilizing each eigenstate
-_STAB_PAIR = {
-    ("Z", +1): ("X", "Y"),
-    ("Z", -1): ("Y", "X"),
-    ("X", +1): ("Y", "Z"),
-    ("X", -1): ("Z", "Y"),
-    ("Y", +1): ("Z", "X"),
-    ("Y", -1): ("X", "Z"),
-}
 
 
 class MalformedTree(ValueError):
@@ -147,10 +138,18 @@ def random_tree(n: int, seed: int) -> TernaryTree:
 # vertices where it takes an X or Y edge and whose z mask those where it
 # takes a Y or Z edge.
 
-def _step(x: int, z: int, vertex: int, letter: str) -> tuple[int, int]:
-    """The masks (x, z) extended by ``letter`` on ``vertex``."""
-    slot = _SLOT[letter]
+def _step(x: int, z: int, vertex: int, slot: int) -> tuple[int, int]:
+    """The masks (x, z) extended by the edge in ``slot`` of ``vertex``."""
     return x | ((slot < 2) << vertex), z | ((slot > 0) << vertex)
+
+
+def _vacuum_slots(v: ProductState) -> list[tuple[int, int]]:
+    """Per qubit, the slot L = z(2 - x) of its eigenstate letter and its sign bit s.
+
+    The ordered pair of slots (B, C) with -iBC stabilizing that eigenstate
+    is ((L + 1 + s) mod 3, (L + 2 - s) mod 3).
+    """
+    return [((v.z >> j & 1) * (2 - (v.x >> j & 1)), v.s >> j & 1) for j in range(v.n)]
 
 
 def canonical_paths(t: TernaryTree) -> tuple[PauliString, ...]:
@@ -168,8 +167,8 @@ def canonical_paths(t: TernaryTree) -> tuple[PauliString, ...]:
         if v is None:
             out.append(PauliString(t.n, x, z))
             continue
-        for letter in "XYZ" if flipped else "ZYX":  # pushed in reverse visit order
-            stack.append((t.child(v, letter), *_step(x, z, v, letter), flipped ^ (letter == "Y")))
+        for k in (0, 1, 2) if flipped else (2, 1, 0):  # pushed in reverse visit order
+            stack.append((t.children[v][k], *_step(x, z, v, k), flipped ^ (k == 1)))
     return tuple(out)
 
 
@@ -212,29 +211,29 @@ def pair_for_vacuum(t: TernaryTree, v: ProductState) -> FermionQubitMapping:
         raise ValueError("state width differs from tree size")
     if v.phase != 0:
         raise ValueError("vacuum specification must carry phase +1")
-    states = v.qubit_states
+    slots = _vacuum_slots(v)
     # top down: the masks of the edges from the root to each vertex
     prefix = {t.root: (0, 0)}
     order = [t.root]
     for u in order:
-        for letter, c in zip(LETTERS, t.children[u]):
+        for k, c in enumerate(t.children[u]):
             if c is not None:
-                prefix[c] = _step(*prefix[u], u, letter)
+                prefix[c] = _step(*prefix[u], u, k)
                 order.append(c)
-    # bottom up: the stabilizing-letter descent from each vertex, with the
+    # bottom up: the stabilizing-slot descent from each vertex, with the
     # parity of the -1-eigenstate factors it passes
     descent: dict[int | None, tuple[int, int, int]] = {None: (0, 0, 0)}
     for u in reversed(order):
-        letter, sign = states[u]
-        x, z, minus = descent[t.child(u, letter)]
-        descent[u] = (*_step(x, z, u, letter), minus ^ (sign < 0))
+        slot, sign = slots[u]
+        x, z, minus = descent[t.children[u][slot]]
+        descent[u] = (*_step(x, z, u, slot), minus ^ sign)
     pairs = []
-    for i in range(t.n):
+    for i, (slot, sign) in enumerate(slots):
         ops = []
         swap = 0
-        for letter in _STAB_PAIR[states[i]]:
-            x, z, minus = descent[t.child(i, letter)]
-            x, z = _step(x | prefix[i][0], z | prefix[i][1], i, letter)
+        for k in ((slot + 1 + sign) % 3, (slot + 2 - sign) % 3):
+            x, z, minus = descent[t.children[i][k]]
+            x, z = _step(x | prefix[i][0], z | prefix[i][1], i, k)
             ops.append(PauliString(t.n, x, z, (x & z).bit_count()))
             swap ^= minus
         pairs.append((ops[1], ops[0]) if swap else (ops[0], ops[1]))
@@ -273,27 +272,9 @@ def _divergence_vertex(a: PauliString, b: PauliString) -> int:
     return (split & -split).bit_length() - 1
 
 
-def _pair_transform(pair, canon) -> str:
-    """How ``pair`` relates to the canonical vacuum pairing at its vertex."""
-    a, b = pair
-    ca, cb = canon
-    if (a, b) == (ca, cb):
-        return "id"
-    if (a, b) == (ca.negated(), cb.negated()):
-        return "negate"
-    if (a, b) == (cb, ca.negated()):
-        return "braid"
-    if (a, b) == (cb.negated(), ca):
-        return "braid_neg"
-    raise ValueError("pair is not a vacuum-preserving arrangement of path strings")
-
-
-_APPLY_TRANSFORM = {
-    "id": lambda a, b: (a, b),
-    "negate": lambda a, b: (a.negated(), b.negated()),
-    "braid": lambda a, b: (b, a.negated()),
-    "braid_neg": lambda a, b: (b.negated(), a),
-}
+def _arrange(a: PauliString, b: PauliString, swap: bool, k: int) -> tuple[PauliString, PauliString]:
+    """The pair i^k (b, -a) if ``swap``, else i^k (a, b)."""
+    return (b.times_i(k), a.times_i(k + 2)) if swap else (a.times_i(k), b.times_i(k))
 
 
 def revacuum(
@@ -301,11 +282,12 @@ def revacuum(
 ) -> tuple[TernaryTree, FermionQubitMapping]:
     """Relabel tree edges per vertex so the mapping's vacuum becomes ``target``.
 
-    The permutation at vertex q sends the old stabilizing-pair letters to
-    the new ones (and hence old stabilizing letter to new).  Pair order,
-    braiding and signs of m are preserved mode by mode; where the edge
-    relabelling alone would flip a stabilizer eigenvalue the affected
-    pair's operators swap roles, as the product-vacuum pairing requires.
+    The slot permutation at vertex q sends the old stabilizing-pair slots
+    to the new ones (and hence old stabilizing slot to new).  Each pair of
+    m is an arrangement (swap, k), k in {0, 2}, of its vertex's pair in the
+    old vacuum pairing, and keeps that arrangement of the new one; where
+    the edge relabelling alone would flip a stabilizer eigenvalue, the new
+    pairing has already swapped the operators' roles.
     """
     if target.n != t.n or m.n != t.n:
         raise ValueError("size mismatch")
@@ -316,38 +298,29 @@ def revacuum(
         raise ValueError(f"mapping is not product-preserving: {old}")
 
     canon_old = pair_for_vacuum(t, old)
-    transforms: list[tuple[int, str]] = []
+    arrangements: list[tuple[int, bool, int]] = []
     for a, b in m.pairs:
         q = _divergence_vertex(a, b)
-        transforms.append((q, _pair_transform((a, b), canon_old.pairs[q])))
+        ca, cb = canon_old.pairs[q]
+        swap = (a.x, a.z) != (ca.x, ca.z)
+        # k is even when the pair matches: an odd k would make m's own vacuum
+        # a -1 eigenstate of its stabilizer -iab
+        k = (a.phase - (cb if swap else ca).phase) % 4
+        if _arrange(ca, cb, swap, k) != (a, b):
+            raise ValueError("pair is not a vacuum-preserving arrangement of path strings")
+        arrangements.append((q, swap, k))
 
-    perms: list[dict[str, str]] = []
-    for old_state, new_state in zip(old.qubit_states, target.qubit_states):
-        ob, oc = _STAB_PAIR[old_state]
-        nb, nc = _STAB_PAIR[new_state]
-        rho = {ob: nb, oc: nc}
-        (last_old,) = set(LETTERS) - {ob, oc}
-        (last_new,) = set(LETTERS) - {nb, nc}
-        rho[last_old] = last_new
-        perms.append(rho)
-
-    children: dict[int, dict[str, int]] = {}
-    for q in range(t.n):
-        slots = {}
-        for letter in LETTERS:
-            c = t.child(q, letter)
-            if c is not None:
-                slots[perms[q][letter]] = c
-        if slots:
-            children[q] = slots
-    t_new = build_tree(t.n, t.root, children)
+    # slot L_old + d moves to L_new + d, or to L_new - d where the sign bit
+    # changes: the stabilizing slot and the ordered pair go to their new ones
+    rows = []
+    for row, (lo, so), (ln, sn) in zip(t.children, _vacuum_slots(old), _vacuum_slots(target)):
+        e = 1 if so == sn else -1
+        rows.append(tuple(row[(lo + e * (j - ln)) % 3] for j in range(3)))
+    t_new = TernaryTree(t.n, t.root, tuple(rows))
 
     canon_new = pair_for_vacuum(t_new, target)
-    pairs = []
-    for q, kind in transforms:
-        a, b = canon_new.pairs[q]
-        pairs.append(_APPLY_TRANSFORM[kind](a, b))
-    return t_new, FermionQubitMapping(t.n, tuple(pairs))
+    pairs = tuple(_arrange(*canon_new.pairs[q], swap, k) for q, swap, k in arrangements)
+    return t_new, FermionQubitMapping(t.n, pairs)
 
 
 # -- tree file grammar ------------------------------------------------------------

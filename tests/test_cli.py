@@ -198,6 +198,14 @@ def test_transform(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("term", ["a+ +1 a 0", "a+ \u0661 a 0", "a+ 01 a 0"])
+def test_transform_rejects_non_canonical_mode_index(tmp_path, capsys, term):
+    path = tmp_path / "m.map"
+    path.write_text(mapping.format_mapping(mapping.jordan_wigner(2)))
+    code, out, err = run(capsys, "transform", "--mapping", str(path), "--term", term)
+    assert code == 2 and out == "" and "bad mode index" in err
+
+
 def test_dot_output_is_syntactically_plausible(tmp_path, capsys):
     path = tmp_path / "m.map"
     path.write_text(mapping.format_mapping(mapping.named_mapping("bravyi_kitaev", 2)))

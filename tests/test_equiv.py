@@ -407,6 +407,18 @@ def test_witness_serialization_round_trip():
 
 
 def test_parse_ops_rejects_unknown():
-    for line in ("rotate 1 2", "sign-change", "pair-braid 0", "pair-braid 0 x"):
+    for line in (
+        "rotate 1 2", "sign-change", "pair-braid 0", "pair-braid 0 x",
+        # indices must be plain ASCII decimals, as in the other text formats
+        "pair-braid -1 +", "sign-change +01", "qubit-swap \u0661 0",
+        "basis-change \u0663 X->Y Y->X Z->-Z", "fermion-swap 1 00",
+    ):
         with pytest.raises(ValueError):
             equiv.parse_ops(line + "\n")
+
+
+def test_pair_braid_mode_out_of_range():
+    m = mapping.jordan_wigner(2)
+    for mode in (-1, 2):
+        with pytest.raises(ValueError, match="mode out of range"):
+            equiv.apply_symmetry(m, PairBraid(mode, 1))

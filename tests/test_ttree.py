@@ -7,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from fermap import cli, gf2, mapping, oracle, pauli, ttree
+from fermap import cli, equiv, gf2, mapping, oracle, pauli, ttree
+from fermap.equiv import PairBraid, SignChange
 from fermap.ttree import MalformedTree
 
 
@@ -390,6 +391,98 @@ def test_path_words_match_recursive_letter_walk():
         assert set(ttree.path_paulis(t)) == {_ref_string(n, s) for s in _ref_steps(t, canonical=False)}
         v = random_product_state(rng, n)
         assert ttree.pair_for_vacuum(t, v) == _ref_pair_for_vacuum(t, v)
+
+
+def _ref_pair_transform(pair, canon):
+    """How ``pair`` relates to the canonical vacuum pairing at its vertex."""
+    a, b = pair
+    ca, cb = canon
+    if (a, b) == (ca, cb):
+        return "id"
+    if (a, b) == (ca.negated(), cb.negated()):
+        return "negate"
+    if (a, b) == (cb, ca.negated()):
+        return "braid"
+    if (a, b) == (cb.negated(), ca):
+        return "braid_neg"
+    raise ValueError("pair is not a vacuum-preserving arrangement of path strings")
+
+
+_REF_APPLY_TRANSFORM = {
+    "id": lambda a, b: (a, b),
+    "negate": lambda a, b: (a.negated(), b.negated()),
+    "braid": lambda a, b: (b, a.negated()),
+    "braid_neg": lambda a, b: (b.negated(), a),
+}
+
+
+def _ref_revacuum(t, m, target):
+    """Re-vacuuming with per-qubit letter dicts and a rebuilt letter-dict tree."""
+    if target.n != t.n or m.n != t.n:
+        raise ValueError("size mismatch")
+    if target.phase != 0:
+        raise ValueError("target vacuum must carry phase +1")
+    old = mapping.vacuum_state(m)
+    if isinstance(old, mapping.NonProduct):
+        raise ValueError(f"mapping is not product-preserving: {old}")
+    canon_old = _ref_pair_for_vacuum(t, old)
+    transforms = []
+    for a, b in m.pairs:
+        q = ttree._divergence_vertex(a, b)
+        transforms.append((q, _ref_pair_transform((a, b), canon_old.pairs[q])))
+    children = {}
+    for q, (old_state, new_state) in enumerate(zip(old.qubit_states, target.qubit_states)):
+        ob, oc = _ref_stab_pair(*old_state)
+        nb, nc = _ref_stab_pair(*new_state)
+        rho = {ob: nb, oc: nc}
+        (last_old,) = set("XYZ") - {ob, oc}
+        (last_new,) = set("XYZ") - {nb, nc}
+        rho[last_old] = last_new
+        slots = {rho[ell]: t.child(q, ell) for ell in "XYZ" if t.child(q, ell) is not None}
+        if slots:
+            children[q] = slots
+    t_new = ttree.build_tree(t.n, t.root, children)
+    canon_new = _ref_pair_for_vacuum(t_new, target)
+    pairs = tuple(_REF_APPLY_TRANSFORM[kind](*canon_new.pairs[q]) for q, kind in transforms)
+    return t_new, mapping.FermionQubitMapping(t.n, pairs)
+
+
+def _outcome(fn, *args):
+    """The call's result, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:  # noqa: BLE001  compared, not swallowed
+        return type(exc), str(exc)
+
+
+def test_revacuum_matches_letter_dict_reference():
+    rng = random.Random(57)
+    outcomes = {"ok": 0, "raised": 0}
+    for seed in range(80):
+        n = rng.randrange(1, 11)
+        t = ttree.random_tree(n, seed)
+        other = ttree.random_tree(n, seed + 1000)  # its pairings are foreign to t
+        bases = [
+            ttree.pair_for_vacuum(t, random_product_state(rng, n)),
+            ttree.braided_real_pairing(t),
+            ttree.legacy_pairing(t),
+            ttree.canonical_mapping(t),
+            ttree.pair_for_vacuum(other, random_product_state(rng, n)),
+        ]
+        (a, b), *rest = bases[0].pairs  # i times a pair: not Hermitian, no arrangement
+        bases.append(mapping.FermionQubitMapping(n, ((a.times_i(), b.times_i()), *rest)))
+        for base in bases:
+            word = [
+                PairBraid(rng.randrange(n), rng.choice((1, -1))) if rng.random() < 0.5
+                else SignChange(rng.randrange(2 * n))
+                for _ in range(rng.randrange(4))
+            ]
+            m = equiv.apply_symmetries(base, word)
+            target = mapping.vacuum_state(m) if rng.random() < 0.25 else random_product_state(rng, n)
+            got = _outcome(ttree.revacuum, t, m, target)
+            assert got == _outcome(_ref_revacuum, t, m, target)
+            outcomes["raised" if type(got) is tuple and type(got[0]) is type else "ok"] += 1
+    assert outcomes["ok"] >= 150 and outcomes["raised"] >= 30
 
 
 def test_deep_chain_beyond_recursion_limit(tmp_path, capsys):
