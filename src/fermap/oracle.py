@@ -1,17 +1,24 @@
 """Dense state-vector verification of mapping algebra at small qubit counts.
 
-Everything here works on explicit 2^n complex amplitude vectors, applying
-single-qubit 2x2 matrices axis by axis.  It deliberately shares no code
-with the symplectic fast paths so that agreement between the two is
-meaningful evidence.  Amplitude index convention: qubit 0 is the most
-significant bit, so |f_0 f_1 ... f_{n-1}> sits at index sum f_j 2^{n-1-j}.
+Everything here works on explicit 2^n complex amplitude vectors.
+`apply_pauli` applies a Pauli string one single-qubit 2x2 matrix at a
+time.  Every Pauli string is a signed permutation of the computational
+basis, so each check runs `apply_pauli` once per operator it needs, on the
+tag vector w_b = b + 1, reads the operator's (perm, coeff) off the image's
+magnitudes, confirms it on a second fixed probe vector, and from then on
+applies the operator as one numpy scatter.  Fock states are streamed, so a
+sweep holds only the states on the way to the current one.  The module
+deliberately shares no code with the symplectic fast paths so that
+agreement between the two is meaningful evidence.  Amplitude index
+convention: qubit 0 is the most significant bit, so |f_0 f_1 ... f_{n-1}>
+sits at index sum f_j 2^{n-1-j}.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -23,8 +30,10 @@ if TYPE_CHECKING:  # pragma: no cover
 TOL = 1e-9
 DENSE_LIMIT = 14  # largest n whose 2^n-amplitude vacuum the oracle builds
 
-# DenseState: 1-D complex array of length 2^n (or a (2^n, batch) column batch).
+# DenseState: 1-D complex array of length 2^n.
 DenseState = np.ndarray
+# Action: (perm, coeff) with op|e_b> = coeff[b] |e_perm[b]>.
+Action = tuple[np.ndarray, np.ndarray]
 
 _SINGLE = {
     "I": np.eye(2, dtype=complex),
@@ -66,10 +75,8 @@ def dense_product_state(s: ProductState) -> DenseState:
 
 
 def _apply_single(mat: np.ndarray, psi: np.ndarray, n: int, j: int) -> np.ndarray:
-    cols = psi.shape[1] if psi.ndim == 2 else 1
-    shaped = psi.reshape((1 << j, 2, (1 << (n - 1 - j)) * cols))
-    out = np.einsum("ab,ibj->iaj", mat, shaped)
-    return out.reshape(psi.shape)
+    shaped = psi.reshape((1 << j, 2, 1 << (n - 1 - j)))
+    return np.einsum("ab,ibj->iaj", mat, shaped).reshape(psi.shape)
 
 
 def apply_pauli(p: PauliString, psi: DenseState) -> DenseState:
@@ -103,26 +110,40 @@ def dense_matrix(p: PauliString) -> np.ndarray:
     return mat
 
 
-def _permutation_action(p: PauliString) -> tuple[np.ndarray, np.ndarray]:
-    """(perm, coeff) with p|e_b> = coeff[b] |e_perm[b]>, from dense columns."""
-    n = p.n
-    dim = 1 << n
-    perm = np.empty(dim, dtype=np.int64)
-    coeff = np.empty(dim, dtype=complex)
-    chunk = 256
-    for start in range(0, dim, chunk):
-        stop = min(start + chunk, dim)
-        batch = np.zeros((dim, stop - start), dtype=complex)
-        for k, b in enumerate(range(start, stop)):
-            batch[b, k] = 1.0
-        image = apply_pauli(p, batch)
-        idx = np.abs(image).argmax(axis=0)
-        perm[start:stop] = idx
-        coeff[start:stop] = image[idx, np.arange(stop - start)]
-        image[idx, np.arange(stop - start)] = 0.0
-        if np.abs(image).max() > TOL:
-            raise AssertionError("pauli action is not a signed permutation")
+def _action(n: int, op: Callable[[DenseState], DenseState]) -> Action:
+    """The signed permutation that ``op`` applies, read off one dense image.
+
+    The tag vector w_b = b + 1 marks e_b by its magnitude, so ``op(w)`` must
+    hold every magnitude 1..2^n exactly once, and the one at index k names
+    the e_b that went there; exact magnitudes make every coefficient unit
+    modulus.  A second fixed probe with complex amplitudes confirms that
+    ``op`` acts as that signed permutation on a general state.
+    """
+    tags = np.arange(1, (1 << n) + 1, dtype=float)
+    image = op(tags)
+    mags = np.abs(image)
+    perm = np.argsort(mags)
+    # divide part by part: complex division by a real would round +-1 and +-i
+    coeff = image.real[perm] / tags + 1j * (image.imag[perm] / tags)
+    probe = np.exp(1j * tags)
+    if (
+        not np.array_equal(mags[perm], tags)
+        or np.abs(_apply((perm, coeff), probe) - op(probe)).max() > TOL
+    ):
+        raise AssertionError("pauli action is not a signed permutation")
     return perm, coeff
+
+
+def _pauli_action(p: PauliString) -> Action:
+    return _action(p.n, lambda psi: apply_pauli(p, psi))
+
+
+def _apply(action: Action, psi: DenseState) -> DenseState:
+    """op|psi> for the operator with signed permutation ``action``."""
+    perm, coeff = action
+    out = np.empty(len(perm), dtype=complex)
+    out[perm] = coeff * psi
+    return out
 
 
 @dataclass(frozen=True)
@@ -143,7 +164,7 @@ def check_car(m: "FermionQubitMapping", tol: float = TOL) -> CarReport | None:
     """Verify {G_i, G_j} = 2 delta_ij and Hermiticity on all basis states."""
     if m.n > 10:
         raise ValueError("dense CAR check limited to n <= 10")
-    actions = [_permutation_action(g) for g in m.gammas]
+    actions = [_pauli_action(g) for g in m.gammas]
     dim = 1 << m.n
     ident = np.arange(dim)
     for i, (perm, coeff) in enumerate(actions):
@@ -173,6 +194,16 @@ def check_car(m: "FermionQubitMapping", tol: float = TOL) -> CarReport | None:
     return None
 
 
+def _vacuum_stabilizers(m: "FermionQubitMapping") -> list[Action]:
+    """Signed permutations of the vacuum stabilizers S_i = -i G_2i G_2i+1."""
+    if m.n > DENSE_LIMIT:
+        raise ValueError(f"dense vacuum limited to n <= {DENSE_LIMIT}")
+    return [
+        _action(m.n, lambda psi, a=a, b=b: -1j * apply_pauli(a, apply_pauli(b, psi)))
+        for a, b in m.pairs
+    ]
+
+
 def dense_vacuum(m: "FermionQubitMapping") -> DenseState:
     """Normalized simultaneous +1-eigenstate of the vacuum stabilizers.
 
@@ -180,15 +211,16 @@ def dense_vacuum(m: "FermionQubitMapping") -> DenseState:
     vectors in lexicographic order until a nonzero image appears; the global
     phase is fixed by making the first nonzero amplitude real positive.
     """
-    if m.n > DENSE_LIMIT:
-        raise ValueError(f"dense vacuum limited to n <= {DENSE_LIMIT}")
-    dim = 1 << m.n
+    return _vacuum(m.n, _vacuum_stabilizers(m))
+
+
+def _vacuum(n: int, stabilizers: list[Action]) -> DenseState:
+    dim = 1 << n
     for b in range(dim):
         psi = np.zeros(dim, dtype=complex)
         psi[b] = 1.0
-        for a, gb in m.pairs:
-            spsi = -1j * apply_pauli(a, apply_pauli(gb, psi))
-            psi = (psi + spsi) / 2.0
+        for s in stabilizers:
+            psi = (psi + _apply(s, psi)) / 2.0
         norm = np.linalg.norm(psi)
         if norm > TOL:
             psi /= norm
@@ -198,27 +230,41 @@ def dense_vacuum(m: "FermionQubitMapping") -> DenseState:
     raise ValueError("no joint +1-eigenstate found: inconsistent stabilizers")
 
 
-def dense_fock_states(m: "FermionQubitMapping", subset: Sequence[int] | None = None) -> dict[int, DenseState]:
-    """Dense Fock states |f_m> for all (or selected) occupation vectors.
+def dense_fock_states(
+    m: "FermionQubitMapping", subset: Iterable[int] | None = None
+) -> Iterator[tuple[int, DenseState]]:
+    """(f, |f_m>) for all occupation vectors in order, or for those in ``subset``.
 
-    Built by dynamic programming: peeling the lowest occupied mode reuses
-    the state of the remaining modes, so each state costs one application.
+    The vacuum is built at once; the states are streamed (see `_fock_states`).
     """
-    vac = dense_vacuum(m)
-    cache: dict[int, DenseState] = {0: vac}
+    return _fock_states(m, dense_vacuum(m), subset)
 
-    def state(f: int) -> DenseState:
-        got = cache.get(f)
-        if got is not None:
-            return got
-        low = f & -f
-        mode = low.bit_length() - 1
-        psi = apply_pauli(m.pairs[mode][0], state(f ^ low))
-        cache[f] = psi
-        return psi
 
-    wanted = range(1 << m.n) if subset is None else subset
-    return {f: state(f) for f in wanted}
+def _fock_states(
+    m: "FermionQubitMapping", vac: DenseState, subset: Iterable[int] | None
+) -> Iterator[tuple[int, DenseState]]:
+    """|f_m> applies the occupied modes' even Majoranas to the vacuum, highest first.
+
+    ``chain`` holds (g, |g_m>) for the growing top parts g of the last f,
+    from g = 0 to g = f: at most n + 1 states.  The next f keeps the entries
+    that are also its top parts and applies one operator per remaining
+    mode, so a sweep in ascending order costs one application per state.
+    """
+    evens = [_pauli_action(a) for a, _ in m.pairs]
+    chain = [(0, vac)]
+    for f in range(1 << m.n) if subset is None else subset:
+        # keep g while it equals f's bits from g's lowest set bit up
+        while (g := chain[-1][0]) and f & -(g & -g) != g:
+            chain.pop()
+        g, psi = chain[-1]
+        rest = f ^ g
+        while rest:
+            mode = rest.bit_length() - 1
+            rest ^= 1 << mode
+            g |= 1 << mode
+            psi = _apply(evens[mode], psi)
+            chain.append((g, psi))
+        yield f, psi
 
 
 @dataclass(frozen=True)
@@ -242,26 +288,27 @@ def verify_fock_basis(m: "FermionQubitMapping", tol: float = TOL) -> FockReport 
     """
     if m.n > 10:
         raise ValueError("dense Fock-basis check limited to n <= 10")
-    states = dense_fock_states(m)
-    for f, psi in states.items():
-        for i, (a, b) in enumerate(m.pairs):
-            spsi = -1j * apply_pauli(a, apply_pauli(b, psi))
+    stabilizers = _vacuum_stabilizers(m)
+    # orthonormality: basis-state images are compared by index, general
+    # states by a (sampled) Gram matrix, once every eigenvalue has passed
+    indexed: dict[int, int] = {}
+    duplicate: FockReport | None = None
+    general: list[tuple[int, DenseState]] = []
+    for f, psi in _fock_states(m, _vacuum(m.n, stabilizers), None):
+        for i, s in enumerate(stabilizers):
             want = (-1.0) ** ((f >> i) & 1)
-            dev = float(np.linalg.norm(spsi - want * psi))
+            dev = float(np.linalg.norm(_apply(s, psi) - want * psi))
             if dev > tol:
                 return FockReport(f"stabilizer {i} eigenvalue is not {want:+.0f}", f, dev)
-    # orthonormality: basis-state images are compared by index, general
-    # states by a (sampled) Gram matrix
-    indexed: dict[int, int] = {}
-    general: list[tuple[int, DenseState]] = []
-    for f, psi in states.items():
         top = int(np.abs(psi).argmax())
         if abs(abs(psi[top]) - 1.0) <= tol:
-            if top in indexed:
-                return FockReport(f"duplicate basis state with f={indexed[top]:b}", f, 0.0)
-            indexed[top] = f
+            if top in indexed and duplicate is None:
+                duplicate = FockReport(f"duplicate basis state with f={indexed[top]:b}", f, 0.0)
+            indexed.setdefault(top, f)
         else:
             general.append((f, psi))
+    if duplicate is not None:
+        return duplicate
     for k, (f, psi) in enumerate(general):
         for f2, psi2 in general[k + 1 :][:64]:
             ov = abs(np.vdot(psi, psi2))
@@ -298,7 +345,7 @@ def verify_affine(
 
 def _verify_encoded(m, rows, b, tol, subset, reason) -> FockReport | None:
     """Compare each dense |f_m> with the basis vector |G(f xor b)>, G given by rows."""
-    for f, psi in dense_fock_states(m, subset).items():
+    for f, psi in dense_fock_states(m, subset):
         v = f ^ b
         bits = sum(((row & v).bit_count() & 1) << i for i, row in enumerate(rows))
         expected = np.zeros_like(psi)
@@ -322,19 +369,17 @@ def verify_lemma1(n: int, tol: float = TOL) -> bool:
     """
     from .mapping import jordan_wigner
 
-    m = jordan_wigner(n)
+    actions = [(_pauli_action(a), _pauli_action(b)) for a, b in jordan_wigner(n).pairs]
     vac = basis_state(n, 0)
     for f in range(1 << n):
-        byA = vac.copy()
-        byEven = vac.copy()
-        byOdd = vac.copy()
+        byA = byEven = byOdd = vac
         for i in reversed(range(n)):
             if not (f >> i) & 1:
                 continue
-            a, b = m.pairs[i]
-            byA = 0.5 * (apply_pauli(a, byA) - 1j * apply_pauli(b, byA))
-            byEven = apply_pauli(a, byEven)
-            byOdd = -1j * apply_pauli(b, byOdd)
+            a, b = actions[i]
+            byA = 0.5 * (_apply(a, byA) - 1j * _apply(b, byA))
+            byEven = _apply(a, byEven)
+            byOdd = -1j * _apply(b, byOdd)
         if np.linalg.norm(byA - byEven) > tol or np.linalg.norm(byA - byOdd) > tol:
             return False
     return True

@@ -2,13 +2,22 @@
 
 import ast
 import inspect
+import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fermap import encoding, gf2, mapping, oracle, pauli, ttree
+from fermap.encoding import AffineEncoding
 from fermap.mapping import FermionQubitMapping
+
+P = pauli.parse_pauli
+
+
+def _two_mode(a0, b0, a1, b1):
+    return FermionQubitMapping(2, ((P(a0, 2), P(b0, 2)), (P(a1, 2), P(b1, 2))))
 
 
 def test_apply_pauli_x_flip():
@@ -62,15 +71,44 @@ def test_check_car_flags_corruption():
     # replace gamma_3 = Z0 Y1 by Z0 X1 (drops anticommutation with gamma_2)
     bad_pairs[1] = (a, pauli.parse_pauli("+1 Z0 X1", 3))
     report = oracle.check_car(FermionQubitMapping(3, tuple(bad_pairs)))
-    assert report is not None
-    assert report.kind in ("anticommutator", "square")
+    assert report == oracle.CarReport("anticommutator", 2, 3, 2.0)
+    # no Z string: gamma_0 = X0 commutes with gamma_2 = X1
+    report = oracle.check_car(_two_mode("+1 X0", "+1 Y0", "+1 X1", "+1 Y1"))
+    assert report == oracle.CarReport("anticommutator", 0, 2, 2.0)
 
 
 def test_check_car_flags_non_hermitian():
+    """i X0 is anti-Hermitian; it is reported as a failed square.
+
+    A Pauli string is a signed permutation with unit coefficients, so
+    G^2 = 1 already implies G = G^dagger: the square is the first check that
+    a non-Hermitian Pauli string fails.
+    """
     m = mapping.jordan_wigner(2)
     pairs = ((m.pairs[0][0].times_i(1), m.pairs[0][1]), m.pairs[1])
     report = oracle.check_car(FermionQubitMapping(2, pairs))
-    assert report is not None
+    assert report == oracle.CarReport("square", 0, None, 2.0)
+    assert str(report) == "square violated at operator 0 (deviation 2)"
+
+
+def test_pauli_action_must_be_a_signed_permutation(monkeypatch):
+    m = mapping.jordan_wigner(2)
+    # magnitudes of the tag image are no longer 1..2^n
+    monkeypatch.setattr(oracle, "apply_pauli", lambda p, psi: 0.5 * psi)
+    with pytest.raises(AssertionError, match="pauli action is not a signed permutation"):
+        oracle.check_car(m)
+    # exact on the real tag vector, wrong on the complex probe
+    monkeypatch.setattr(oracle, "apply_pauli", lambda p, psi: psi.real.astype(complex))
+    with pytest.raises(AssertionError, match="pauli action is not a signed permutation"):
+        oracle.check_car(m)
+
+
+def test_dense_vacuum_inconsistent_stabilizers():
+    m = _two_mode("+1 X0", "+1 Y0", "+1 X0", "-1 Y0")  # S_0 = Z0, S_1 = -Z0
+    message = "^no joint \\+1-eigenstate found: inconsistent stabilizers$"
+    for check in (oracle.dense_vacuum, oracle.verify_fock_basis):
+        with pytest.raises(ValueError, match=message):
+            check(m)
 
 
 def test_dense_vacuum_jw():
@@ -112,6 +150,17 @@ def test_verify_fock_basis_accepts_and_reports():
     assert oracle.verify_fock_basis(mapping.named_mapping("parity", 4)) is None
 
 
+def test_verify_fock_basis_first_failure():
+    # gamma_2 = X0 X1 flips the mode-0 stabilizer Z0, so |f=10> = |11> has S_0 = -1
+    m = _two_mode("+1 X0", "+1 Y0", "+1 X0 X1", "+1 X0 Y1")
+    assert oracle.verify_fock_basis(m) == oracle.FockReport("stabilizer 0 eigenvalue is not +1", 2, 2.0)
+    # both modes' even Majoranas are X0: f=10 and f=01 give the same state;
+    # a tolerance that lets every eigenvalue pass leaves the duplicate to report
+    m = _two_mode("+1 X0", "+1 Y0", "+1 X0", "+1 Y0")
+    assert oracle.verify_fock_basis(m) == oracle.FockReport("stabilizer 1 eigenvalue is not +1", 1, 2.0)
+    assert oracle.verify_fock_basis(m, tol=3.0) == oracle.FockReport("duplicate basis state with f=1", 2, 0.0)
+
+
 def test_verify_fock_basis_is_exhaustive_only():
     with pytest.raises(ValueError, match="n <= 10") as err:
         oracle.verify_fock_basis(mapping.jordan_wigner(11))
@@ -126,7 +175,16 @@ def test_verify_linear_jw():
 def test_verify_linear_flags_wrong_matrix():
     m = mapping.named_mapping("parity", 3)
     report = oracle.verify_linear(m, gf2.identity_matrix(3))
-    assert report is not None
+    assert report == oracle.FockReport("Fock state differs from |Gf>", 1, math.sqrt(2))
+    m = mapping.named_mapping("parity", 11)
+    report = oracle.verify_linear(m, gf2.identity_matrix(11), sample=8, seed=0)
+    assert report == oracle.FockReport("Fock state differs from |Gf>", 165, math.sqrt(2))
+
+
+def test_verify_affine_flags_wrong_offset():
+    m = encoding.majoranas_of_affine(AffineEncoding(gf2.identity_matrix(2), 0b01))
+    report = oracle.verify_affine(m, AffineEncoding(gf2.identity_matrix(2), 0b10))
+    assert report == oracle.FockReport("Fock state differs from |G(f xor b)>", 0, math.sqrt(2))
 
 
 def test_verify_linear_canonical_trees():
@@ -143,6 +201,19 @@ def test_verify_linear_sampled_mode():
     with pytest.raises(ValueError):
         oracle.verify_linear(m, ttree.tree_matrix(t))
     assert oracle.verify_linear(m, ttree.tree_matrix(t), sample=64) is None
+
+
+def test_verify_linear_sampled_streams_states():
+    """Each sampled 2^13-amplitude state is checked as it is built, not kept."""
+    t = ttree.complete_tree(3)
+    m, g = ttree.canonical_mapping(t), ttree.tree_matrix(t)
+    tracemalloc.start()
+    try:
+        assert oracle.verify_linear(m, g, sample=4096) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20, f"peak {peak / 2**20:.0f} MB"
 
 
 def test_verify_affine_random():
@@ -167,10 +238,14 @@ def test_oracle_agrees_with_symbolic_fock_states():
         n = rng.randrange(1, 7)
         t = ttree.random_tree(n, seed)
         m = ttree.braided_real_pairing(t)
-        dense = oracle.dense_fock_states(m)
+        dense = dict(oracle.dense_fock_states(m))
         for f in range(1 << n):
             sym = mapping.fock_state(m, f)
             assert np.linalg.norm(dense[f] - oracle.dense_product_state(sym)) < 1e-9
+        # any order, repeats included, streams the same states
+        subset = [rng.randrange(1 << n) for _ in range(12)]
+        for f, psi in oracle.dense_fock_states(m, subset):
+            assert np.array_equal(psi, dense[f])
 
 
 def test_bits_to_index_convention():
