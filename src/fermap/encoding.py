@@ -99,13 +99,10 @@ def tableau_of_affine(enc: AffineEncoding) -> StabiliserTableau:
     """Block tableau: G top-left, (G^-1)^T bottom-right, sign column (0,b)."""
     n = enc.n
     ginv = gf2.invert(enc.g)
-    cols = []
-    for i in range(n):  # X_i -> X_{U(i)}: x-part is column i of G
-        cols.append(enc.g.column(i))
-    for i in range(n):  # Z_i -> (-1)^{b_i} Z_{F(i)}: z-part is row i of G^-1
-        cols.append(ginv.rows[i] << n)
-    signs = enc.b << n
-    return StabiliserTableau(n, tuple(cols), signs)
+    # X_i -> X_{U(i)}: x-part is column i of G, i.e. row i of G^T
+    # Z_i -> (-1)^{b_i} Z_{F(i)}: z-part is row i of G^-1
+    cols = enc.g.transpose().rows + tuple(r << n for r in ginv.rows)
+    return StabiliserTableau(n, cols, enc.b << n)
 
 
 def conjugate_via_tableau(tab: StabiliserTableau, p: PauliString) -> PauliString:
@@ -113,12 +110,8 @@ def conjugate_via_tableau(tab: StabiliserTableau, p: PauliString) -> PauliString
     if p.n != tab.n:
         raise ValueError("dimension mismatch")
     factors = [pauli.identity(p.n).times_i(p.phase)]
-    for j in range(p.n):
-        if (p.x >> j) & 1:
-            factors.append(tab.image(j))
-    for j in range(p.n):
-        if (p.z >> j) & 1:
-            factors.append(tab.image(p.n + j))
+    factors += [tab.image(j) for j in gf2.set_bits(p.x)]
+    factors += [tab.image(p.n + j) for j in gf2.set_bits(p.z)]
     return pauli.multiply_all(factors)
 
 

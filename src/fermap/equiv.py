@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Union
 
-from . import pauli
+from . import gf2, pauli
 from .mapping import FermionQubitMapping, validate
 from .pauli import LETTERS, PauliString
 
@@ -199,14 +199,10 @@ def fingerprint(m: FermionQubitMapping):
     counts = [[0] * 16 for _ in range(m.n)]
     for a, b in m.pairs:
         ax, az, bx, bz = a.x, a.z, b.x, b.z
-        support = ax | az | bx | bz
-        while support:
-            low = support & -support
-            j = low.bit_length() - 1
+        for j in gf2.set_bits(ax | az | bx | bz):
             ca = (ax >> j & 1) | (az >> j & 1) << 1
             cb = (bx >> j & 1) | (bz >> j & 1) << 1
             counts[j][1 << ca | 1 << cb] += 1
-            support ^= low
     qubit_parts = sorted(
         min(tuple(row[s] for s in set_map) for set_map in _SET_MAPS) for row in counts
     )

@@ -12,6 +12,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import accumulate, count
+from operator import add
+from typing import Iterable
 
 
 class Singular(ValueError):
@@ -51,6 +54,22 @@ class BinMatrix:
 
     def __str__(self) -> str:
         return format_matrix(self)
+
+
+def set_bits(mask: int) -> Iterable[int]:
+    """Indices of the set bits of a nonnegative mask, ascending.
+
+    A dense mask is split at the 1s of its binary string: O(length) in all.
+    """
+    if mask.bit_count() > 32:
+        gaps = bin(mask).split("1")[:0:-1]  # the zero run below each set bit, lowest first
+        return map(add, accumulate(map(len, gaps)), count())
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def identity_matrix(n: int) -> BinMatrix:
@@ -125,18 +144,7 @@ def ufpr_sets(g: BinMatrix, i: int) -> tuple[frozenset[int], frozenset[int], fro
     for k in range(i):
         p_mask ^= ginv.rows[k]
     r_mask = f_mask ^ p_mask
-    return tuple(_bits_to_set(m) for m in (u_mask, f_mask, p_mask, r_mask))  # type: ignore[return-value]
-
-
-def _bits_to_set(mask: int) -> frozenset[int]:
-    out = set()
-    j = 0
-    while mask:
-        if mask & 1:
-            out.add(j)
-        mask >>= 1
-        j += 1
-    return frozenset(out)
+    return tuple(frozenset(set_bits(m)) for m in (u_mask, f_mask, p_mask, r_mask))  # type: ignore[return-value]
 
 
 def named_matrix(kind: str, n: int) -> BinMatrix:

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .gf2 import set_bits
+
 LETTERS = ("X", "Y", "Z")  # the non-identity letters, in tree-edge order
 _LETTER_CODES = ("I", "X", "Z", "Y")  # indexed by the letter code xb + 2*zb
 
@@ -56,8 +58,7 @@ class PauliString:
 
     @property
     def support(self) -> tuple[int, ...]:
-        m = self.x | self.z
-        return tuple(j for j in range(self.n) if (m >> j) & 1)
+        return tuple(set_bits(self.x | self.z))
 
     def weight(self) -> int:
         return (self.x | self.z).bit_count()

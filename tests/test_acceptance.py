@@ -269,3 +269,17 @@ def test_criterion_12_dense_oracle_at_n10():
     assert oracle.check_car(m, tol=TOL) is None
     assert oracle.verify_fock_basis(m, tol=TOL) is None
     _report(12, time.time() - start, 1.5, "check_car + verify_fock_basis on JW n=10")
+
+
+def test_criterion_13_thousand_mode_validate_and_text():
+    """validate and format_mapping on a 3000-mode tree and on BK n = 2048 are fast."""
+    tree = ttree.canonical_mapping(ttree.random_tree(3000, 1))
+    bk = mapping.named_mapping("bravyi_kitaev", 2048)
+    start = time.time()
+    verdicts = [mapping.validate(tree), mapping.validate(bk)]
+    texts = [mapping.format_mapping(tree), mapping.format_mapping(bk)]
+    elapsed = time.time() - start
+    assert verdicts == [None, None]
+    for m, text in zip((tree, bk), texts):
+        assert text.startswith(f"n={m.n}\npair 0: ") and text.count("\n") == m.n + 1
+    _report(13, elapsed, 1.5, "validate + format_mapping on tree n=3000 and BK n=2048")

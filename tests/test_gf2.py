@@ -158,3 +158,12 @@ def test_parse_matrix_rejects_bad_rows():
         gf2.parse_matrix("10\n1\n")
     with pytest.raises(ValueError):
         gf2.parse_matrix("12\n01\n")
+
+
+def test_set_bits_sparse_and_dense():
+    rng = random.Random(15)
+    masks = [0, 1, 1 << 999, (1 << 33) - 1, (1 << 32) - 1, (1 << 3000) - 1]
+    masks += [rng.getrandbits(rng.randrange(1, 400)) for _ in range(200)]
+    masks += [sum(1 << rng.randrange(2000) for _ in range(rng.randrange(8))) for _ in range(200)]
+    for mask in masks:
+        assert list(gf2.set_bits(mask)) == [j for j in range(mask.bit_length()) if mask >> j & 1]

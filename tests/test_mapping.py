@@ -4,9 +4,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fermap import gf2, mapping, pauli, ttree
-from fermap.mapping import FermionQubitMapping, NonProduct
+from fermap.mapping import FermionQubitMapping, NonProduct, Violation
+from fermap.pauli import PauliString
 
 
 def random_product_state(rng, n):
@@ -68,6 +70,82 @@ def test_validate_tree_pairings():
         t = ttree.random_tree(n, rng.randrange(10**6))
         m = ttree.pair_for_vacuum(t, random_product_state(rng, n))
         assert mapping.validate(m) is None
+
+
+def _anticommute_by_letters(p, q):
+    """Whether p and q carry two different non-identity letters on an odd number of qubits."""
+    clashes = [j for j in range(p.n) if "I" != p.letter(j) != q.letter(j) != "I"]
+    return len(clashes) % 2 == 1
+
+
+def _pairwise_violation(m):
+    """Reference check: each operator's Hermiticity, then every pair in order."""
+    gammas = m.gammas
+    for i, g in enumerate(gammas):
+        if not g.is_hermitian():
+            return Violation("hermiticity", i)
+    for i in range(len(gammas)):
+        for j in range(i + 1, len(gammas)):
+            if not _anticommute_by_letters(gammas[i], gammas[j]):
+                return Violation("anticommutation", i, j)
+    return None
+
+
+@st.composite
+def perturbed_mappings(draw):
+    """Tree and named mappings with n <= 12, then up to three edits."""
+    kind = draw(st.sampled_from(("canonical", "jordan_wigner", "parity", "bravyi_kitaev")))
+    if kind == "bravyi_kitaev":
+        m = mapping.named_mapping(kind, draw(st.sampled_from((1, 2, 4, 8))))
+    elif kind == "jordan_wigner":
+        m = mapping.jordan_wigner(draw(st.integers(0, 12)))
+    else:
+        n = draw(st.integers(1, 12))
+        m = (mapping.named_mapping(kind, n) if kind == "parity"
+             else ttree.canonical_mapping(ttree.random_tree(n, draw(st.integers(0, 10**6)))))
+    gammas = list(m.gammas)
+    if not gammas:
+        return m
+    index = st.integers(0, len(gammas) - 1)
+    for edit in draw(st.lists(st.sampled_from(("x", "z", "copy", "swap", "phase")), max_size=3)):
+        i = draw(index)
+        g = gammas[i]
+        if edit in ("x", "z"):
+            bit = 1 << draw(st.integers(0, m.n - 1))
+            x, z = (g.x ^ bit, g.z) if edit == "x" else (g.x, g.z ^ bit)
+            gammas[i] = PauliString(m.n, x, z, g.phase)
+        elif edit == "copy":
+            gammas[i] = gammas[draw(index)]
+        elif edit == "swap":
+            j = draw(index)
+            gammas[i], gammas[j] = gammas[j], gammas[i]
+        else:
+            gammas[i] = g.times_i(draw(st.sampled_from((1, 3))))
+    return mapping.make_mapping(gammas)
+
+
+@settings(max_examples=400, deadline=None)
+@given(perturbed_mappings())
+def test_validate_matches_pairwise_reference(m):
+    assert mapping.validate(m) == _pairwise_violation(m)
+
+
+@pytest.mark.parametrize("m", [
+    ttree.canonical_mapping(ttree.random_tree(3000, 1)),
+    mapping.jordan_wigner(200),
+    mapping.named_mapping("bravyi_kitaev", 256),
+], ids=["tree3000", "jw200", "bk256"])
+def test_validate_first_violation_at_large_n(m):
+    gammas = list(m.gammas)
+    k = len(gammas) - 1
+    for i in (0, 5, k - 1):
+        copied = gammas[:k] + [gammas[i]]
+        assert mapping.validate(mapping.make_mapping(copied)) == Violation("anticommutation", i, k)
+    swapped = gammas[:]
+    swapped[3], swapped[k] = swapped[k], swapped[3]
+    assert mapping.validate(mapping.make_mapping(swapped)) is None
+    scaled = gammas[:7] + [gammas[7].times_i(1)] + gammas[8:]
+    assert mapping.validate(mapping.make_mapping(scaled)) == Violation("hermiticity", 7)
 
 
 def test_vacuum_stabilizers_jw():
@@ -267,6 +345,13 @@ def test_mapping_file_round_trip():
         cases.append(ttree.braided_real_pairing(ttree.random_tree(rng.randrange(1, 7), seed)))
     for m in cases:
         assert mapping.parse_mapping(mapping.format_mapping(m)) == m
+
+
+def test_mapping_file_round_trip_at_n1000():
+    m = ttree.canonical_mapping(ttree.random_tree(1000, 1))
+    text = mapping.format_mapping(m)
+    assert text.startswith("n=1000\npair 0: ") and text.count("\n") == 1001
+    assert mapping.parse_mapping(text) == m
 
 
 def test_parse_mapping_rejects_malformed():

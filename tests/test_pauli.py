@@ -256,6 +256,27 @@ def test_text_format_round_trip():
         assert pauli.parse_pauli(pauli.format_pauli(p), n) == p
 
 
+def _text_by_letters(letters, power):
+    """format_pauli's text spelled out qubit by qubit."""
+    factors = [f"{ell}{j}" for j, ell in enumerate(letters) if ell != "I"]
+    return " ".join([pauli.SIGN_TOKENS[power]] + (factors or ["I"]))
+
+
+def test_text_and_support_match_letter_reference():
+    rng = random.Random(14)
+    sparse = ["I"] * 1000
+    for j in rng.sample(range(1000), 9):
+        sparse[j] = rng.choice("XYZ")
+    cases = [[], ["I"] * 5, sparse, ["I"] * 999 + ["Y"], ["X"] * 40]
+    cases += [[rng.choice("IXYZ") for _ in range(rng.randrange(1, 120))] for _ in range(100)]
+    for letters in cases:
+        for power in range(4):
+            p = pauli.from_letters(letters, power)
+            assert pauli.format_pauli(p) == _text_by_letters(letters, power)
+            assert p.support == tuple(j for j, ell in enumerate(letters) if ell != "I")
+    assert pauli.format_pauli(pauli.identity(0).times_i(3)) == "-i I"
+
+
 def test_parse_rejects_malformed():
     for bad in ("X0", "+2 X0", "+1 X0 X0", "+1 X1 X0", "+1 Q0", "+1 X9"):
         with pytest.raises(ValueError):
