@@ -1,13 +1,16 @@
 """Dense state-vector verification of mapping algebra at small qubit counts.
 
-Everything here works on explicit 2^n complex amplitude vectors.
-`apply_pauli` applies a Pauli string one single-qubit 2x2 matrix at a
-time.  Every Pauli string is a signed permutation of the computational
-basis, so each check runs `apply_pauli` once per operator it needs, on the
-tag vector w_b = b + 1, reads the operator's (perm, coeff) off the image's
-magnitudes, confirms it on a second fixed probe vector, and from then on
-applies the operator as one numpy scatter.  Fock states are streamed, so a
-sweep holds only the states on the way to the current one.  The module
+Everything here works on 2^n complex amplitude vectors.  `apply_pauli`
+applies a Pauli string one single-qubit 2x2 matrix at a time.  Every Pauli
+string is a signed permutation of the computational basis, so each check
+runs `apply_pauli` once per operator it needs, on the tag vector
+w_b = b + 1, reads the operator's (perm, coeff) off the image's magnitudes,
+confirms it on a second fixed probe vector, and from then on applies the
+operator as one numpy scatter.  Fock sweeps stream each state as its
+support and amplitudes (idx, amp), so applying an operator is one gather
+and a computational-basis state costs a few numpy calls whatever n; a
+sweep holds only the states on the way to the current one, and a state is
+densified only where a check fails or needs a Gram matrix.  The module
 deliberately shares no code with the symplectic fast paths so that
 agreement between the two is meaningful evidence.  Amplitude index
 convention: qubit 0 is the most significant bit, so |f_0 f_1 ... f_{n-1}>
@@ -194,14 +197,20 @@ def check_car(m: "FermionQubitMapping", tol: float = TOL) -> CarReport | None:
     return None
 
 
-def _vacuum_stabilizers(m: "FermionQubitMapping") -> list[Action]:
-    """Signed permutations of the vacuum stabilizers S_i = -i G_2i G_2i+1."""
+def _vacuum_stabilizers(m: "FermionQubitMapping") -> Action:
+    """Signed permutations of the vacuum stabilizers S_i = -i G_2i G_2i+1, as rows.
+
+    Row i of the (n, 2^n) ``perm`` and ``coeff`` arrays is the action of S_i.
+    """
     if m.n > DENSE_LIMIT:
         raise ValueError(f"dense vacuum limited to n <= {DENSE_LIMIT}")
-    return [
-        _action(m.n, lambda psi, a=a, b=b: -1j * apply_pauli(a, apply_pauli(b, psi)))
-        for a, b in m.pairs
-    ]
+    perm = np.empty((m.n, 1 << m.n), dtype=np.intp)
+    coeff = np.empty((m.n, 1 << m.n), dtype=complex)
+    for i, (a, b) in enumerate(m.pairs):
+        perm[i], coeff[i] = _action(
+            m.n, lambda psi, a=a, b=b: -1j * apply_pauli(a, apply_pauli(b, psi))
+        )
+    return perm, coeff
 
 
 def dense_vacuum(m: "FermionQubitMapping") -> DenseState:
@@ -214,13 +223,15 @@ def dense_vacuum(m: "FermionQubitMapping") -> DenseState:
     return _vacuum(m.n, _vacuum_stabilizers(m))
 
 
-def _vacuum(n: int, stabilizers: list[Action]) -> DenseState:
+def _vacuum(n: int, stabilizers: Action) -> DenseState:
     dim = 1 << n
     for b in range(dim):
         psi = np.zeros(dim, dtype=complex)
         psi[b] = 1.0
-        for s in stabilizers:
+        for s in zip(*stabilizers):
             psi = (psi + _apply(s, psi)) / 2.0
+            if not psi.any():  # every later projector keeps it 0
+                break
         norm = np.linalg.norm(psi)
         if norm > TOL:
             psi /= norm
@@ -230,41 +241,57 @@ def _vacuum(n: int, stabilizers: list[Action]) -> DenseState:
     raise ValueError("no joint +1-eigenstate found: inconsistent stabilizers")
 
 
+def _densify(n: int, idx: np.ndarray, amp: np.ndarray) -> DenseState:
+    psi = np.zeros(1 << n, dtype=complex)
+    psi[idx] = amp
+    return psi
+
+
 def dense_fock_states(
     m: "FermionQubitMapping", subset: Iterable[int] | None = None
 ) -> Iterator[tuple[int, DenseState]]:
     """(f, |f_m>) for all occupation vectors in order, or for those in ``subset``.
 
-    The vacuum is built at once; the states are streamed (see `_fock_states`).
+    The vacuum is built at once; the states are streamed (see `_fock_states`)
+    and densified one at a time.
     """
-    return _fock_states(m, dense_vacuum(m), subset)
+    vac = dense_vacuum(m)
+    return ((f, _densify(m.n, idx, amp)) for f, idx, amp in _fock_states(m, vac, subset))
 
 
 def _fock_states(
     m: "FermionQubitMapping", vac: DenseState, subset: Iterable[int] | None
-) -> Iterator[tuple[int, DenseState]]:
-    """|f_m> applies the occupied modes' even Majoranas to the vacuum, highest first.
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(f, idx, amp): |f_m> as the indices of its nonzero amplitudes and their values.
 
-    ``chain`` holds (g, |g_m>) for the growing top parts g of the last f,
+    |f_m> applies the occupied modes' even Majoranas to the vacuum, highest
+    first, and the Majorana with signed permutation (perm, coeff) sends
+    (idx, amp) to (perm[idx], coeff[idx] * amp).  The vacuum's zeros are
+    exact (unit coefficients, dyadic projections), so its support is read
+    off once and every state of a computational vacuum has support 1.
+
+    ``chain`` holds (g, idx, amp) for the growing top parts g of the last f,
     from g = 0 to g = f: at most n + 1 states.  The next f keeps the entries
     that are also its top parts and applies one operator per remaining
     mode, so a sweep in ascending order costs one application per state.
     """
     evens = [_pauli_action(a) for a, _ in m.pairs]
-    chain = [(0, vac)]
+    idx = np.flatnonzero(vac)
+    chain = [(0, idx, vac[idx])]
     for f in range(1 << m.n) if subset is None else subset:
         # keep g while it equals f's bits from g's lowest set bit up
         while (g := chain[-1][0]) and f & -(g & -g) != g:
             chain.pop()
-        g, psi = chain[-1]
+        g, idx, amp = chain[-1]
         rest = f ^ g
         while rest:
             mode = rest.bit_length() - 1
             rest ^= 1 << mode
             g |= 1 << mode
-            psi = _apply(evens[mode], psi)
-            chain.append((g, psi))
-        yield f, psi
+            perm, coeff = evens[mode]
+            idx, amp = perm[idx], coeff[idx] * amp
+            chain.append((g, idx, amp))
+        yield f, idx, amp
 
 
 @dataclass(frozen=True)
@@ -285,28 +312,46 @@ def verify_fock_basis(m: "FermionQubitMapping", tol: float = TOL) -> FockReport 
     Exhaustive over f, for n <= 10.  Each |f_m> must be a
     ((-1)^{f_i})-eigenstate of the i-th vacuum stabilizer, and distinct f
     must give orthogonal states.
+
+    All n eigenvalues of a state are checked at once on its support: S_i
+    sends amp[j] at idx[j] to coeffs[i, idx[j]] * amp[j] at perms[i, idx[j]],
+    which must be the support index at position at[i, j] and equal
+    (-1)^{f_i} * amp[at[i, j]].  An exact match has deviation 0; any other
+    state is densified and each deviation is measured on the dense vector.
     """
     if m.n > 10:
         raise ValueError("dense Fock-basis check limited to n <= 10")
-    stabilizers = _vacuum_stabilizers(m)
+    n, dim = m.n, 1 << m.n
+    stabilizers = perms, coeffs = _vacuum_stabilizers(m)
+    # wants[f, i] = (-1)^{f_i}, the eigenvalue of S_i on |f_m>
+    wants = 1 - 2 * ((np.arange(dim)[:, None] >> np.arange(n)) & 1)
+    pos = np.full(dim, -1)  # position of each index in the current support
     # orthonormality: basis-state images are compared by index, general
     # states by a (sampled) Gram matrix, once every eigenvalue has passed
     indexed: dict[int, int] = {}
     duplicate: FockReport | None = None
     general: list[tuple[int, DenseState]] = []
-    for f, psi in _fock_states(m, _vacuum(m.n, stabilizers), None):
-        for i, s in enumerate(stabilizers):
-            want = (-1.0) ** ((f >> i) & 1)
-            dev = float(np.linalg.norm(_apply(s, psi) - want * psi))
-            if dev > tol:
-                return FockReport(f"stabilizer {i} eigenvalue is not {want:+.0f}", f, dev)
-        top = int(np.abs(psi).argmax())
-        if abs(abs(psi[top]) - 1.0) <= tol:
-            if top in indexed and duplicate is None:
-                duplicate = FockReport(f"duplicate basis state with f={indexed[top]:b}", f, 0.0)
-            indexed.setdefault(top, f)
+    for f, idx, amp in _fock_states(m, _vacuum(n, stabilizers), None):
+        pos[idx] = np.arange(len(idx))
+        at = pos[perms[:, idx]]
+        pos[idx] = -1
+        exact = (at >= 0).all() and (coeffs[:, idx] * amp == wants[f][:, None] * amp[at]).all()
+        if not exact or tol < 0:  # a negative tol fails even a deviation of 0
+            psi = _densify(n, idx, amp)
+            for i, s in enumerate(zip(perms, coeffs)):
+                want = (-1.0) ** ((f >> i) & 1)
+                dev = float(np.linalg.norm(_apply(s, psi) - want * psi))
+                if dev > tol:
+                    return FockReport(f"stabilizer {i} eigenvalue is not {want:+.0f}", f, dev)
+        mags = np.abs(amp)
+        top = mags.max()
+        if abs(top - 1.0) <= tol:
+            first = int(idx[mags == top].min())  # as argmax picks on the dense state
+            if first in indexed and duplicate is None:
+                duplicate = FockReport(f"duplicate basis state with f={indexed[first]:b}", f, 0.0)
+            indexed.setdefault(first, f)
         else:
-            general.append((f, psi))
+            general.append((f, _densify(n, idx, amp)))
     if duplicate is not None:
         return duplicate
     for k, (f, psi) in enumerate(general):
@@ -344,13 +389,21 @@ def verify_affine(
 
 
 def _verify_encoded(m, rows, b, tol, subset, reason) -> FockReport | None:
-    """Compare each dense |f_m> with the basis vector |G(f xor b)>, G given by rows."""
-    for f, psi in dense_fock_states(m, subset):
+    """Compare each |f_m> with the basis vector |G(f xor b)>, G given by rows.
+
+    A state that is exactly +1 at that index, and zero elsewhere, has
+    deviation 0; any other is densified and measured against it.
+    """
+    n = m.n
+    for f, idx, amp in _fock_states(m, dense_vacuum(m), subset):
         v = f ^ b
         bits = sum(((row & v).bit_count() & 1) << i for i, row in enumerate(rows))
-        expected = np.zeros_like(psi)
-        expected[bits_to_index(m.n, bits)] = 1.0
-        dev = float(np.linalg.norm(psi - expected))
+        k = bits_to_index(n, bits)
+        if len(idx) == 1 and idx[0] == k and amp[0] == 1.0 and tol >= 0:
+            continue
+        expected = np.zeros(1 << n, dtype=complex)
+        expected[k] = 1.0
+        dev = float(np.linalg.norm(_densify(n, idx, amp) - expected))
         if dev > tol:
             return FockReport(reason, f, dev)
     return None

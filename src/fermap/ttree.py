@@ -119,6 +119,8 @@ def complete_tree(depth: int) -> TernaryTree:
 
 def random_tree(n: int, seed: int) -> TernaryTree:
     """Deterministic random labelled ternary tree on n vertices."""
+    if n < 1:
+        raise ValueError("a tree needs at least one vertex")
     rng = random.Random(seed)
     order = list(range(n))
     rng.shuffle(order)

@@ -248,6 +248,157 @@ def test_oracle_agrees_with_symbolic_fock_states():
             assert np.array_equal(psi, dense[f])
 
 
+def test_dense_fock_states_with_full_support_vacuum():
+    """An all-X/Y vacuum gives states of full support, built as apply_pauli would."""
+    rng = random.Random(67)
+    for seed in range(6):
+        n = rng.randrange(1, 7)
+        v = pauli.state_from_chars("".join(rng.choice("+-rl") for _ in range(n)))
+        m = ttree.pair_for_vacuum(ttree.random_tree(n, seed), v)
+        vac = oracle.dense_vacuum(m)
+        assert np.count_nonzero(vac) == 1 << n
+        for f, psi in oracle.dense_fock_states(m):
+            want = vac
+            for mode in reversed(range(n)):
+                if (f >> mode) & 1:
+                    want = oracle.apply_pauli(m.pairs[mode][0], want)
+            assert np.array_equal(psi, want), f
+
+
+# -- reference sweep: one dense state per f, one dense scatter per operator ---------
+
+
+def _reference_fock_states(m, vac, subset):
+    evens = [oracle._pauli_action(a) for a, _ in m.pairs]
+    for f in range(1 << m.n) if subset is None else subset:
+        psi = vac
+        for mode in reversed(range(m.n)):
+            if (f >> mode) & 1:
+                psi = oracle._apply(evens[mode], psi)
+        yield f, psi
+
+
+def _reference_verify_fock_basis(m, tol=oracle.TOL):
+    if m.n > 10:
+        raise ValueError("dense Fock-basis check limited to n <= 10")
+    stabilizers = oracle._vacuum_stabilizers(m)
+    indexed = {}
+    duplicate = None
+    general = []
+    for f, psi in _reference_fock_states(m, oracle._vacuum(m.n, stabilizers), None):
+        for i, s in enumerate(zip(*stabilizers)):
+            want = (-1.0) ** ((f >> i) & 1)
+            dev = float(np.linalg.norm(oracle._apply(s, psi) - want * psi))
+            if dev > tol:
+                return oracle.FockReport(f"stabilizer {i} eigenvalue is not {want:+.0f}", f, dev)
+        top = int(np.abs(psi).argmax())
+        if abs(abs(psi[top]) - 1.0) <= tol:
+            if top in indexed and duplicate is None:
+                duplicate = oracle.FockReport(f"duplicate basis state with f={indexed[top]:b}", f, 0.0)
+            indexed.setdefault(top, f)
+        else:
+            general.append((f, psi))
+    if duplicate is not None:
+        return duplicate
+    for k, (f, psi) in enumerate(general):
+        for f2, psi2 in general[k + 1 :][:64]:
+            ov = abs(np.vdot(psi, psi2))
+            if ov > tol:
+                return oracle.FockReport(f"states f={f:b} and f={f2:b} overlap", f, float(ov))
+    return None
+
+
+def _reference_verify_encoded(m, rows, b, subset, reason, tol=oracle.TOL):
+    for f, psi in _reference_fock_states(m, oracle.dense_vacuum(m), subset):
+        v = f ^ b
+        bits = sum(((row & v).bit_count() & 1) << i for i, row in enumerate(rows))
+        expected = np.zeros_like(psi)
+        expected[oracle.bits_to_index(m.n, bits)] = 1.0
+        dev = float(np.linalg.norm(psi - expected))
+        if dev > tol:
+            return oracle.FockReport(reason, f, dev)
+    return None
+
+
+def _perturbed(m, rng):
+    """m with one operator changed: a flipped x or z bit, a sign, +-i, a copy or a random one."""
+    n, gammas = m.n, list(m.gammas)
+    k = rng.randrange(2 * n)
+    p = gammas[k]
+    p = rng.choice((
+        lambda: pauli.PauliString(n, p.x ^ (1 << rng.randrange(n)), p.z, p.phase),
+        lambda: pauli.PauliString(n, p.x, p.z ^ (1 << rng.randrange(n)), p.phase),
+        lambda: p.negated(),
+        lambda: p.times_i(rng.choice((1, 3))),
+        lambda: gammas[rng.randrange(2 * n)],
+        lambda: pauli.PauliString(n, rng.randrange(1 << n), rng.randrange(1 << n), rng.randrange(4)),
+    ))()
+    gammas[k] = p
+    return mapping.make_mapping(gammas)
+
+
+def _outcome(check, *args, **kwargs):
+    try:
+        return repr(check(*args, **kwargs))
+    except ValueError as err:
+        return f"raises {err!r}"
+
+
+def test_sweep_reports_match_dense_reference():
+    """Support-and-amplitude sweeps report exactly what the dense sweep reports."""
+    rng = random.Random(68)
+    linear = "Fock state differs from |Gf>"
+    affine = "Fock state differs from |G(f xor b)>"
+    kinds = ("jw", "parity", "affine", "canonical", "braided", "pfv")
+    for case in range(60):
+        n = rng.randrange(1, 7)
+        kind = kinds[case % len(kinds)]
+        t = ttree.random_tree(n, rng.randrange(10**6))
+        enc = None
+        if kind == "jw":
+            m = mapping.jordan_wigner(n)
+        elif kind == "parity":
+            m = mapping.named_mapping("parity", n)
+        elif kind == "affine":
+            enc = AffineEncoding(gf2.random_invertible(n, rng.randrange(10**6)), rng.randrange(1 << n))
+            m = encoding.majoranas_of_affine(enc)
+        elif kind == "canonical":
+            m = ttree.canonical_mapping(t)
+        elif kind == "braided":
+            m = ttree.braided_real_pairing(t)
+        else:
+            m = ttree.pair_for_vacuum(
+                t, pauli.state_from_chars("".join(rng.choice("01+-rl") for _ in range(n)))
+            )
+        g = encoding.flip_matrix(m)
+        if enc is None:
+            try:
+                enc = AffineEncoding(g, rng.randrange(1 << n))
+            except gf2.Singular:
+                pass
+        for mm in (m, _perturbed(m, rng)):
+            pairs = [
+                (_outcome(oracle.verify_fock_basis, mm), _outcome(_reference_verify_fock_basis, mm)),
+                # a tolerance that passes every eigenvalue reaches the duplicate
+                # check; a negative one fails even exact states
+                (_outcome(oracle.verify_fock_basis, mm, tol=3.0),
+                 _outcome(_reference_verify_fock_basis, mm, tol=3.0)),
+                (_outcome(oracle.verify_fock_basis, mm, tol=-1.0),
+                 _outcome(_reference_verify_fock_basis, mm, tol=-1.0)),
+                (_outcome(oracle.verify_linear, mm, g, tol=-1.0),
+                 _outcome(_reference_verify_encoded, mm, g.rows, 0, None, linear, tol=-1.0)),
+                (_outcome(oracle.verify_linear, mm, g),
+                 _outcome(_reference_verify_encoded, mm, g.rows, 0, None, linear)),
+                (_outcome(oracle.verify_linear, mm, g, sample=5, seed=case),
+                 _outcome(_reference_verify_encoded, mm, g.rows, 0, oracle._subset(n, 5, case), linear)),
+            ]
+            if enc is not None:
+                pairs.append((_outcome(oracle.verify_affine, mm, enc),
+                              _outcome(_reference_verify_encoded, mm, enc.g.rows, enc.b, None, affine)))
+            for got, want in pairs:
+                assert got == want, (case, kind, str(mm))
+
+
 def test_bits_to_index_convention():
     # qubit 0 is the most significant amplitude bit
     assert oracle.bits_to_index(3, 0b001) == 4

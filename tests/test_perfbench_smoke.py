@@ -1,4 +1,4 @@
-"""The benchmark's inputs still build, and its symbolic jobs pass with the recorded outputs.
+"""The benchmark's inputs still build, and its symbolic and oracle jobs pass with the recorded outputs.
 
 A library name that perfbench uses and a change removed fails here, rather
 than as a crash of a benchmark run's set-up.
@@ -22,7 +22,7 @@ def test_workload_builds(name, tmp_path):
     assert workloads.build(name, 0, tmp_path).jobs
 
 
-@pytest.mark.parametrize("name", ["symbolic-sweep", "symbolic-large"])
+@pytest.mark.parametrize("name", ["symbolic-sweep", "symbolic-large", "oracle-dense"])
 def test_symbolic_jobs_pass_with_recorded_digest(name, tmp_path, monkeypatch):
     monkeypatch.setenv("FERMAP_SEED", "0")  # as run.py sets it for the CLI's sampling
     wl = workloads.build(name, 0, tmp_path)

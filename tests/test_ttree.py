@@ -234,6 +234,12 @@ def test_complete_tree_sizes_and_shape():
     assert ttree.complete_tree(4).n == 40
 
 
+def test_random_tree_rejects_empty():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="at least one vertex"):
+            ttree.random_tree(n, 0)
+
+
 def test_complete_tree_matrix_nesting():
     """Top-left m x m block of the (3m+1)-vertex matrix equals the m-vertex one."""
     mats = {d: ttree.tree_matrix(ttree.complete_tree(d)) for d in (1, 2, 3, 4)}
