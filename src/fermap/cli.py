@@ -1,8 +1,8 @@
 """Command-line front-end: mapping emission, verification, classification.
 
 Exit codes: 0 success, 1 verification failure, 2 input error.  The
-classical-encoding verdict of `verify` is exact; FERMAP_SEED only seeds
-the sampled oracle sweep that `verify --oracle` runs for 10 < n <= 14.
+classical-encoding verdict of `verify` is exact; for 10 < n <= 14,
+`verify --oracle` runs a sampled oracle sweep with the fixed seed 0.
 Pass --json on report-producing subcommands for structured output.
 """
 
@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -42,14 +41,6 @@ def _load_tree(path: str) -> ttree.TernaryTree:
         return ttree.parse_tree(_read(path))
     except ValueError as exc:
         raise InputError(f"bad tree file {path}: {exc}") from None
-
-
-def _seed() -> int:
-    raw = os.environ.get("FERMAP_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"FERMAP_SEED must be an integer, got {raw!r}") from None
 
 
 # -- subcommands ----------------------------------------------------------------
@@ -119,7 +110,6 @@ def cmd_verify(args) -> int:
         report["violation"] = str(bad)
         _emit_report(args, report, ok=False)
         return 1
-    seed = _seed()
     det = encoding.detect_classical(m)
     if isinstance(det, encoding.NotClassical):
         report["classical"] = False
@@ -131,7 +121,7 @@ def cmd_verify(args) -> int:
         report["matrix"] = gf2.format_matrix(det.g).splitlines()
     ok = True
     if args.oracle:
-        if m.n <= 10:
+        if m.n <= oracle.EXHAUSTIVE_LIMIT:
             car = oracle.check_car(m)
             report["oracle_car"] = str(car) if car else "ok"
             fock = oracle.verify_fock_basis(m)
@@ -144,13 +134,13 @@ def cmd_verify(args) -> int:
         elif m.n > oracle.DENSE_LIMIT:
             report["oracle_linear"] = f"skipped: n > {oracle.DENSE_LIMIT}"
         elif isinstance(det, encoding.AffineEncoding) and det.is_linear():
-            lin = oracle.verify_linear(m, det.g, sample=4096, seed=seed)
+            lin = oracle.verify_linear(m, det.g, sample=4096)
             report["oracle_linear"] = (
                 str(lin) if lin else "ok (sampled 4096 occupation vectors, all +1 phase)"
             )
             ok = lin is None
         else:
-            report["oracle_linear"] = "skipped: n > 10 and not a linear encoding"
+            report["oracle_linear"] = f"skipped: n > {oracle.EXHAUSTIVE_LIMIT} and not a linear encoding"
     _emit_report(args, report, ok=ok)
     return 0 if ok else 1
 

@@ -10,7 +10,7 @@ given mapping is such an encoding, and reduces affine encodings to linear ones
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import gf2, mapping as fqm, pauli
 from .gf2 import BinMatrix
@@ -24,11 +24,12 @@ class AffineEncoding:
 
     g: BinMatrix
     b: int
+    ginv: BinMatrix = field(init=False, repr=False, compare=False)  # G^-1, kept from the check
 
     def __post_init__(self):
         if self.b >> self.g.n:
             raise ValueError("offset has bits beyond the matrix width")
-        gf2.invert(self.g)  # raises Singular if g is not invertible
+        object.__setattr__(self, "ginv", gf2.invert(self.g))  # raises Singular if g is singular
 
     @property
     def n(self) -> int:
@@ -98,10 +99,9 @@ class StabiliserTableau:
 def tableau_of_affine(enc: AffineEncoding) -> StabiliserTableau:
     """Block tableau: G top-left, (G^-1)^T bottom-right, sign column (0,b)."""
     n = enc.n
-    ginv = gf2.invert(enc.g)
     # X_i -> X_{U(i)}: x-part is column i of G, i.e. row i of G^T
     # Z_i -> (-1)^{b_i} Z_{F(i)}: z-part is row i of G^-1
-    cols = enc.g.transpose().rows + tuple(r << n for r in ginv.rows)
+    cols = enc.g.transpose().rows + tuple(r << n for r in enc.ginv.rows)
     return StabiliserTableau(n, cols, enc.b << n)
 
 
@@ -122,11 +122,10 @@ def majoranas_of_affine(enc: AffineEncoding) -> FermionQubitMapping:
     G_{2i+1} = i (-1)^{b_0+..+b_i}   X_{U(i)} Z_{R(i)}
 
     with the update, flip, parity and remainder sets of ``gf2.ufpr_sets``,
-    all read from one inverse.  For b = 0 this is the linear-encoding
+    all read from the encoding's inverse.  For b = 0 this is the linear-encoding
     formula; the vacuum is |G b>.
     """
-    n = enc.n
-    ginv = gf2.invert(enc.g)
+    n, ginv = enc.n, enc.ginv
     u_masks = enc.g.transpose().rows  # U(i) is column i of G
     pairs = []
     p_mask = 0  # P(i) = F(0) xor .. xor F(i-1), F(k) = row k of G^-1

@@ -10,7 +10,9 @@ operator as one numpy scatter.  Fock sweeps stream each state as its
 support and amplitudes (idx, amp), so applying an operator is one gather
 and a computational-basis state costs a few numpy calls whatever n; a
 sweep holds only the states on the way to the current one, and a state is
-densified only where a check fails or needs a Gram matrix.  The module
+densified only where a check fails.  The vacuum stabilizers
+S_i = -i G_2i G_2i+1 are composed from their pair's two signed
+permutations, so each Majorana is read once per check.  The module
 deliberately shares no code with the symplectic fast paths so that
 agreement between the two is meaningful evidence.  Amplitude index
 convention: qubit 0 is the most significant bit, so |f_0 f_1 ... f_{n-1}>
@@ -32,6 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover
 
 TOL = 1e-9
 DENSE_LIMIT = 14  # largest n whose 2^n-amplitude vacuum the oracle builds
+EXHAUSTIVE_LIMIT = 10  # largest n that the exhaustive checks and sweeps accept
 
 # DenseState: 1-D complex array of length 2^n.
 DenseState = np.ndarray
@@ -165,8 +168,8 @@ class CarReport:
 
 def check_car(m: "FermionQubitMapping", tol: float = TOL) -> CarReport | None:
     """Verify {G_i, G_j} = 2 delta_ij and Hermiticity on all basis states."""
-    if m.n > 10:
-        raise ValueError("dense CAR check limited to n <= 10")
+    if m.n > EXHAUSTIVE_LIMIT:
+        raise ValueError(f"dense CAR check limited to n <= {EXHAUSTIVE_LIMIT}")
     actions = [_pauli_action(g) for g in m.gammas]
     dim = 1 << m.n
     ident = np.arange(dim)
@@ -197,20 +200,24 @@ def check_car(m: "FermionQubitMapping", tol: float = TOL) -> CarReport | None:
     return None
 
 
-def _vacuum_stabilizers(m: "FermionQubitMapping") -> Action:
-    """Signed permutations of the vacuum stabilizers S_i = -i G_2i G_2i+1, as rows.
+def _pair_actions(m: "FermionQubitMapping") -> tuple[Action, Action]:
+    """Signed permutations of the G_2i and of the S_i = -i G_2i G_2i+1, as rows.
 
-    Row i of the (n, 2^n) ``perm`` and ``coeff`` arrays is the action of S_i.
+    Returns (evens, stabilizers): row i of each (n, 2^n) ``perm`` and
+    ``coeff`` pair is the action of G_2i, resp. of the vacuum stabilizer
+    S_i.  Each pair (a, b) is read once; S_i applies b, then a, so
+    S_i|e_x> = -i coeff_a[perm_b[x]] coeff_b[x] |e_{perm_a[perm_b[x]]}>.
     """
     if m.n > DENSE_LIMIT:
         raise ValueError(f"dense vacuum limited to n <= {DENSE_LIMIT}")
-    perm = np.empty((m.n, 1 << m.n), dtype=np.intp)
-    coeff = np.empty((m.n, 1 << m.n), dtype=complex)
+    shape = (m.n, 1 << m.n)
+    evens = np.empty(shape, dtype=np.intp), np.empty(shape, dtype=complex)
+    stabilizers = np.empty(shape, dtype=np.intp), np.empty(shape, dtype=complex)
     for i, (a, b) in enumerate(m.pairs):
-        perm[i], coeff[i] = _action(
-            m.n, lambda psi, a=a, b=b: -1j * apply_pauli(a, apply_pauli(b, psi))
-        )
-    return perm, coeff
+        (perm_a, coeff_a), (perm_b, coeff_b) = _pauli_action(a), _pauli_action(b)
+        evens[0][i], evens[1][i] = perm_a, coeff_a
+        stabilizers[0][i], stabilizers[1][i] = perm_a[perm_b], -1j * coeff_a[perm_b] * coeff_b
+    return evens, stabilizers
 
 
 def dense_vacuum(m: "FermionQubitMapping") -> DenseState:
@@ -220,7 +227,7 @@ def dense_vacuum(m: "FermionQubitMapping") -> DenseState:
     vectors in lexicographic order until a nonzero image appears; the global
     phase is fixed by making the first nonzero amplitude real positive.
     """
-    return _vacuum(m.n, _vacuum_stabilizers(m))
+    return _vacuum(m.n, _pair_actions(m)[1])
 
 
 def _vacuum(n: int, stabilizers: Action) -> DenseState:
@@ -255,30 +262,32 @@ def dense_fock_states(
     The vacuum is built at once; the states are streamed (see `_fock_states`)
     and densified one at a time.
     """
-    vac = dense_vacuum(m)
-    return ((f, _densify(m.n, idx, amp)) for f, idx, amp in _fock_states(m, vac, subset))
+    evens, stabilizers = _pair_actions(m)
+    states = _fock_states(evens, _vacuum(m.n, stabilizers), subset)
+    return ((f, _densify(m.n, idx, amp)) for f, idx, amp in states)
 
 
 def _fock_states(
-    m: "FermionQubitMapping", vac: DenseState, subset: Iterable[int] | None
+    evens: Action, vac: DenseState, subset: Iterable[int] | None
 ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
     """(f, idx, amp): |f_m> as the indices of its nonzero amplitudes and their values.
 
-    |f_m> applies the occupied modes' even Majoranas to the vacuum, highest
-    first, and the Majorana with signed permutation (perm, coeff) sends
-    (idx, amp) to (perm[idx], coeff[idx] * amp).  The vacuum's zeros are
-    exact (unit coefficients, dyadic projections), so its support is read
-    off once and every state of a computational vacuum has support 1.
+    |f_m> applies the occupied modes' even Majoranas, the rows of ``evens``,
+    to the vacuum, highest first, and the Majorana with signed permutation
+    (perm, coeff) sends (idx, amp) to (perm[idx], coeff[idx] * amp).  The
+    vacuum's zeros are exact (unit coefficients, dyadic projections), so its
+    support is read off once and every state of a computational vacuum has
+    support 1.
 
     ``chain`` holds (g, idx, amp) for the growing top parts g of the last f,
     from g = 0 to g = f: at most n + 1 states.  The next f keeps the entries
     that are also its top parts and applies one operator per remaining
     mode, so a sweep in ascending order costs one application per state.
     """
-    evens = [_pauli_action(a) for a, _ in m.pairs]
+    perms, coeffs = evens
     idx = np.flatnonzero(vac)
     chain = [(0, idx, vac[idx])]
-    for f in range(1 << m.n) if subset is None else subset:
+    for f in range(len(vac)) if subset is None else subset:
         # keep g while it equals f's bits from g's lowest set bit up
         while (g := chain[-1][0]) and f & -(g & -g) != g:
             chain.pop()
@@ -288,8 +297,7 @@ def _fock_states(
             mode = rest.bit_length() - 1
             rest ^= 1 << mode
             g |= 1 << mode
-            perm, coeff = evens[mode]
-            idx, amp = perm[idx], coeff[idx] * amp
+            idx, amp = perms[mode][idx], coeffs[mode][idx] * amp
             chain.append((g, idx, amp))
         yield f, idx, amp
 
@@ -307,11 +315,16 @@ class FockReport:
 
 
 def verify_fock_basis(m: "FermionQubitMapping", tol: float = TOL) -> FockReport | None:
-    """Check stabilizer eigenvalues and orthonormality of the Fock basis.
+    """Check that each |f_m> is a ((-1)^{f_i})-eigenstate of the i-th vacuum stabilizer.
 
-    Exhaustive over f, for n <= 10.  Each |f_m> must be a
-    ((-1)^{f_i})-eigenstate of the i-th vacuum stabilizer, and distinct f
-    must give orthogonal states.
+    Exhaustive over f, for n <= EXHAUSTIVE_LIMIT.  A pass also certifies
+    that the Fock basis is orthonormal.  Every |f_m> is a unitary image of
+    the unit vacuum, so it has norm 1.  For f != g some S_i wants opposite
+    eigenvalues s and -s; write S_i|f_m> = s|f_m> + u and
+    S_i|g_m> = -s|g_m> + v with |u|, |v| <= tol.  S_i is a signed
+    permutation, hence unitary, so <f_m|g_m> = <S_i f_m|S_i g_m>
+    = -<f_m|g_m> + s<f_m|v> - s<u|g_m> + <u|v>, and
+    |<f_m|g_m>| <= tol + tol^2/2.
 
     All n eigenvalues of a state are checked at once on its support: S_i
     sends amp[j] at idx[j] to coeffs[i, idx[j]] * amp[j] at perms[i, idx[j]],
@@ -319,54 +332,35 @@ def verify_fock_basis(m: "FermionQubitMapping", tol: float = TOL) -> FockReport 
     (-1)^{f_i} * amp[at[i, j]].  An exact match has deviation 0; any other
     state is densified and each deviation is measured on the dense vector.
     """
-    if m.n > 10:
-        raise ValueError("dense Fock-basis check limited to n <= 10")
+    if m.n > EXHAUSTIVE_LIMIT:
+        raise ValueError(f"dense Fock-basis check limited to n <= {EXHAUSTIVE_LIMIT}")
     n, dim = m.n, 1 << m.n
-    stabilizers = perms, coeffs = _vacuum_stabilizers(m)
+    evens, stabilizers = _pair_actions(m)
+    perms, coeffs = stabilizers
     # wants[f, i] = (-1)^{f_i}, the eigenvalue of S_i on |f_m>
     wants = 1 - 2 * ((np.arange(dim)[:, None] >> np.arange(n)) & 1)
     pos = np.full(dim, -1)  # position of each index in the current support
-    # orthonormality: basis-state images are compared by index, general
-    # states by a (sampled) Gram matrix, once every eigenvalue has passed
-    indexed: dict[int, int] = {}
-    duplicate: FockReport | None = None
-    general: list[tuple[int, DenseState]] = []
-    for f, idx, amp in _fock_states(m, _vacuum(n, stabilizers), None):
+    for f, idx, amp in _fock_states(evens, _vacuum(n, stabilizers), None):
         pos[idx] = np.arange(len(idx))
         at = pos[perms[:, idx]]
         pos[idx] = -1
         exact = (at >= 0).all() and (coeffs[:, idx] * amp == wants[f][:, None] * amp[at]).all()
-        if not exact or tol < 0:  # a negative tol fails even a deviation of 0
-            psi = _densify(n, idx, amp)
-            for i, s in enumerate(zip(perms, coeffs)):
-                want = (-1.0) ** ((f >> i) & 1)
-                dev = float(np.linalg.norm(_apply(s, psi) - want * psi))
-                if dev > tol:
-                    return FockReport(f"stabilizer {i} eigenvalue is not {want:+.0f}", f, dev)
-        mags = np.abs(amp)
-        top = mags.max()
-        if abs(top - 1.0) <= tol:
-            first = int(idx[mags == top].min())  # as argmax picks on the dense state
-            if first in indexed and duplicate is None:
-                duplicate = FockReport(f"duplicate basis state with f={indexed[first]:b}", f, 0.0)
-            indexed.setdefault(first, f)
-        else:
-            general.append((f, _densify(n, idx, amp)))
-    if duplicate is not None:
-        return duplicate
-    for k, (f, psi) in enumerate(general):
-        for f2, psi2 in general[k + 1 :][:64]:
-            ov = abs(np.vdot(psi, psi2))
-            if ov > tol:
-                return FockReport(f"states f={f:b} and f={f2:b} overlap", f, float(ov))
+        if exact and tol >= 0:  # a negative tol fails even a deviation of 0
+            continue
+        psi = _densify(n, idx, amp)
+        for i, s in enumerate(zip(perms, coeffs)):
+            want = (-1.0) ** ((f >> i) & 1)
+            dev = float(np.linalg.norm(_apply(s, psi) - want * psi))
+            if dev > tol:
+                return FockReport(f"stabilizer {i} eigenvalue is not {want:+.0f}", f, dev)
     return None
 
 
 def _subset(n: int, sample: int | None, seed: int) -> list[int] | None:
     """A seeded sample of occupation vectors (always with 0), or None for all."""
     if sample is None:
-        if n > 10:
-            raise ValueError("exhaustive dense sweep limited to n <= 10; pass sample=")
+        if n > EXHAUSTIVE_LIMIT:
+            raise ValueError(f"exhaustive dense sweep limited to n <= {EXHAUSTIVE_LIMIT}; pass sample=")
         return None
     rng = random.Random(seed)
     return sorted({0} | {rng.randrange(1 << n) for _ in range(sample)})
@@ -395,7 +389,8 @@ def _verify_encoded(m, rows, b, tol, subset, reason) -> FockReport | None:
     deviation 0; any other is densified and measured against it.
     """
     n = m.n
-    for f, idx, amp in _fock_states(m, dense_vacuum(m), subset):
+    evens, stabilizers = _pair_actions(m)
+    for f, idx, amp in _fock_states(evens, _vacuum(n, stabilizers), subset):
         v = f ^ b
         bits = sum(((row & v).bit_count() & 1) << i for i, row in enumerate(rows))
         k = bits_to_index(n, bits)

@@ -254,14 +254,3 @@ def test_emitted_files_reparse(tmp_path, capsys):
     assert gf2.parse_matrix(out) == ttree.tree_matrix(t)
     code, out, _ = run(capsys, "tree-mapping", "--tree", str(tree_file))
     assert mapping.parse_mapping(out) == ttree.canonical_mapping(t)
-
-
-def test_fermap_seed_env(tmp_path, capsys, monkeypatch):
-    path = tmp_path / "m.map"
-    path.write_text(mapping.format_mapping(mapping.jordan_wigner(2)))
-    monkeypatch.setenv("FERMAP_SEED", "not-a-number")
-    code, _, err = run(capsys, "verify", "--mapping", str(path))
-    assert code == 2 and "FERMAP_SEED" in err
-    monkeypatch.setenv("FERMAP_SEED", "7")
-    code, _, _ = run(capsys, "verify", "--mapping", str(path))
-    assert code == 0

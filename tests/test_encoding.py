@@ -122,12 +122,20 @@ def test_majoranas_linear_formula_shape():
 
 
 def test_majoranas_of_affine_inverts_once(monkeypatch):
-    enc = AffineEncoding(gf2.random_invertible(6, 36), 0b101101)
+    """G is inverted once, when the encoding is checked; the formulas reuse that inverse."""
+    g = gf2.random_invertible(6, 36)
     calls = []
     real_invert = gf2.invert
     monkeypatch.setattr(gf2, "invert", lambda g: calls.append(g) or real_invert(g))
+    enc = AffineEncoding(g, 0b101101)
+    assert calls == [g] and gf2.mat_mul(g, enc.ginv) == gf2.identity_matrix(6)
+    calls.clear()
     encoding.majoranas_of_affine(enc)
-    assert calls == [enc.g]
+    encoding.tableau_of_affine(enc)
+    assert calls == []
+    # the kept inverse is not part of the encoding's identity
+    assert repr(enc) == f"AffineEncoding(g={g!r}, b=45)"
+    assert enc == AffineEncoding(g, 0b101101) and hash(enc) == hash(AffineEncoding(g, 0b101101))
 
 
 def _mask(indices):

@@ -154,11 +154,10 @@ def test_verify_fock_basis_first_failure():
     # gamma_2 = X0 X1 flips the mode-0 stabilizer Z0, so |f=10> = |11> has S_0 = -1
     m = _two_mode("+1 X0", "+1 Y0", "+1 X0 X1", "+1 X0 Y1")
     assert oracle.verify_fock_basis(m) == oracle.FockReport("stabilizer 0 eigenvalue is not +1", 2, 2.0)
-    # both modes' even Majoranas are X0: f=10 and f=01 give the same state;
-    # a tolerance that lets every eigenvalue pass leaves the duplicate to report
+    # both modes' even Majoranas are X0: f=10 and f=01 give the same state,
+    # which fails the eigenvalue that tells them apart
     m = _two_mode("+1 X0", "+1 Y0", "+1 X0", "+1 Y0")
     assert oracle.verify_fock_basis(m) == oracle.FockReport("stabilizer 1 eigenvalue is not +1", 1, 2.0)
-    assert oracle.verify_fock_basis(m, tol=3.0) == oracle.FockReport("duplicate basis state with f=1", 2, 0.0)
 
 
 def test_verify_fock_basis_is_exhaustive_only():
@@ -268,6 +267,15 @@ def test_dense_fock_states_with_full_support_vacuum():
 # -- reference sweep: one dense state per f, one dense scatter per operator ---------
 
 
+def _reference_stabilizers(m):
+    """Each S_i = -i G_2i G_2i+1 read directly from two apply_pauli passes, as rows."""
+    actions = [
+        oracle._action(m.n, lambda psi, a=a, b=b: -1j * oracle.apply_pauli(a, oracle.apply_pauli(b, psi)))
+        for a, b in m.pairs
+    ]
+    return np.array([p for p, _ in actions]), np.array([c for _, c in actions])
+
+
 def _reference_fock_states(m, vac, subset):
     evens = [oracle._pauli_action(a) for a, _ in m.pairs]
     for f in range(1 << m.n) if subset is None else subset:
@@ -281,30 +289,13 @@ def _reference_fock_states(m, vac, subset):
 def _reference_verify_fock_basis(m, tol=oracle.TOL):
     if m.n > 10:
         raise ValueError("dense Fock-basis check limited to n <= 10")
-    stabilizers = oracle._vacuum_stabilizers(m)
-    indexed = {}
-    duplicate = None
-    general = []
+    stabilizers = _reference_stabilizers(m)
     for f, psi in _reference_fock_states(m, oracle._vacuum(m.n, stabilizers), None):
         for i, s in enumerate(zip(*stabilizers)):
             want = (-1.0) ** ((f >> i) & 1)
             dev = float(np.linalg.norm(oracle._apply(s, psi) - want * psi))
             if dev > tol:
                 return oracle.FockReport(f"stabilizer {i} eigenvalue is not {want:+.0f}", f, dev)
-        top = int(np.abs(psi).argmax())
-        if abs(abs(psi[top]) - 1.0) <= tol:
-            if top in indexed and duplicate is None:
-                duplicate = oracle.FockReport(f"duplicate basis state with f={indexed[top]:b}", f, 0.0)
-            indexed.setdefault(top, f)
-        else:
-            general.append((f, psi))
-    if duplicate is not None:
-        return duplicate
-    for k, (f, psi) in enumerate(general):
-        for f2, psi2 in general[k + 1 :][:64]:
-            ov = abs(np.vdot(psi, psi2))
-            if ov > tol:
-                return oracle.FockReport(f"states f={f:b} and f={f2:b} overlap", f, float(ov))
     return None
 
 
@@ -344,11 +335,14 @@ def _outcome(check, *args, **kwargs):
         return f"raises {err!r}"
 
 
-def test_sweep_reports_match_dense_reference():
-    """Support-and-amplitude sweeps report exactly what the dense sweep reports."""
+def _zoo():
+    """(case, g, enc, mm): 60 seeded mappings of six kinds, each valid and perturbed.
+
+    g is the mapping's flip matrix and enc an affine encoding to test it
+    against (its own for the affine kind, else one with g and a random
+    offset), or None when g is singular.
+    """
     rng = random.Random(68)
-    linear = "Fock state differs from |Gf>"
-    affine = "Fock state differs from |G(f xor b)>"
     kinds = ("jw", "parity", "affine", "canonical", "braided", "pfv")
     for case in range(60):
         n = rng.randrange(1, 7)
@@ -377,26 +371,67 @@ def test_sweep_reports_match_dense_reference():
             except gf2.Singular:
                 pass
         for mm in (m, _perturbed(m, rng)):
-            pairs = [
-                (_outcome(oracle.verify_fock_basis, mm), _outcome(_reference_verify_fock_basis, mm)),
-                # a tolerance that passes every eigenvalue reaches the duplicate
-                # check; a negative one fails even exact states
-                (_outcome(oracle.verify_fock_basis, mm, tol=3.0),
-                 _outcome(_reference_verify_fock_basis, mm, tol=3.0)),
-                (_outcome(oracle.verify_fock_basis, mm, tol=-1.0),
-                 _outcome(_reference_verify_fock_basis, mm, tol=-1.0)),
-                (_outcome(oracle.verify_linear, mm, g, tol=-1.0),
-                 _outcome(_reference_verify_encoded, mm, g.rows, 0, None, linear, tol=-1.0)),
-                (_outcome(oracle.verify_linear, mm, g),
-                 _outcome(_reference_verify_encoded, mm, g.rows, 0, None, linear)),
-                (_outcome(oracle.verify_linear, mm, g, sample=5, seed=case),
-                 _outcome(_reference_verify_encoded, mm, g.rows, 0, oracle._subset(n, 5, case), linear)),
-            ]
-            if enc is not None:
-                pairs.append((_outcome(oracle.verify_affine, mm, enc),
-                              _outcome(_reference_verify_encoded, mm, enc.g.rows, enc.b, None, affine)))
-            for got, want in pairs:
-                assert got == want, (case, kind, str(mm))
+            yield case, g, enc, mm
+
+
+def test_sweep_reports_match_dense_reference():
+    """Support-and-amplitude sweeps report exactly what the dense sweep reports."""
+    linear = "Fock state differs from |Gf>"
+    affine = "Fock state differs from |G(f xor b)>"
+    for case, g, enc, mm in _zoo():
+        pairs = [
+            (_outcome(oracle.verify_fock_basis, mm), _outcome(_reference_verify_fock_basis, mm)),
+            # a negative tolerance fails even exact states
+            (_outcome(oracle.verify_fock_basis, mm, tol=-1.0),
+             _outcome(_reference_verify_fock_basis, mm, tol=-1.0)),
+            (_outcome(oracle.verify_linear, mm, g, tol=-1.0),
+             _outcome(_reference_verify_encoded, mm, g.rows, 0, None, linear, tol=-1.0)),
+            (_outcome(oracle.verify_linear, mm, g),
+             _outcome(_reference_verify_encoded, mm, g.rows, 0, None, linear)),
+            (_outcome(oracle.verify_linear, mm, g, sample=5, seed=case),
+             _outcome(_reference_verify_encoded, mm, g.rows, 0, oracle._subset(mm.n, 5, case), linear)),
+        ]
+        if enc is not None:
+            pairs.append((_outcome(oracle.verify_affine, mm, enc),
+                          _outcome(_reference_verify_encoded, mm, enc.g.rows, enc.b, None, affine)))
+        for got, want in pairs:
+            assert got == want, (case, str(mm))
+
+
+def test_passing_eigenvalues_certify_an_orthonormal_basis():
+    """Whenever verify_fock_basis passes, the dense Gram matrix is within tol + tol^2/2 of I."""
+    tol = oracle.TOL
+    passed = 0
+    for case, _, _, mm in _zoo():
+        if _outcome(oracle.verify_fock_basis, mm) != "None":
+            continue
+        passed += 1
+        states = np.array([psi for _, psi in oracle.dense_fock_states(mm)])
+        gram = states.conj() @ states.T
+        dev = np.abs(gram - np.eye(len(states))).max()
+        assert dev <= tol + tol**2 / 2, (case, str(mm), dev)
+    assert passed >= 60  # every valid mapping, and any perturbation that stays valid
+
+
+def test_composed_stabilizers_match_direct_reading():
+    """-i G_2i G_2i+1 composed by indexing equals the operator read from apply_pauli."""
+    for case, _, _, mm in _zoo():
+        perms, coeffs = oracle._pair_actions(mm)[1]
+        ref_perms, ref_coeffs = _reference_stabilizers(mm)
+        # array_equal ignores the sign of zero components
+        assert np.array_equal(perms, ref_perms) and np.array_equal(coeffs, ref_coeffs), case
+
+
+def test_verify_fock_basis_holds_no_states():
+    """A full-support n = 10 basis is checked state by state, not kept for a Gram matrix."""
+    m = ttree.pair_for_vacuum(ttree.random_tree(10, 3), pauli.state_from_chars("+" * 10))
+    tracemalloc.start()
+    try:
+        assert oracle.verify_fock_basis(m) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_bits_to_index_convention():

@@ -23,8 +23,7 @@ def test_workload_builds(name, tmp_path):
 
 
 @pytest.mark.parametrize("name", ["symbolic-sweep", "symbolic-large", "oracle-dense"])
-def test_symbolic_jobs_pass_with_recorded_digest(name, tmp_path, monkeypatch):
-    monkeypatch.setenv("FERMAP_SEED", "0")  # as run.py sets it for the CLI's sampling
+def test_symbolic_jobs_pass_with_recorded_digest(name, tmp_path):
     wl = workloads.build(name, 0, tmp_path)
     tracer = spans.Tracer(False)
     cycle = run.Cycle()
