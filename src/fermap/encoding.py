@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from . import gf2, mapping as fqm, pauli
+from . import gf2, mapping as fqm
 from .gf2 import BinMatrix
 from .mapping import FermionQubitMapping
 from .pauli import PauliString
@@ -105,16 +105,6 @@ def tableau_of_affine(enc: AffineEncoding) -> StabiliserTableau:
     return StabiliserTableau(n, cols, enc.b << n)
 
 
-def conjugate_via_tableau(tab: StabiliserTableau, p: PauliString) -> PauliString:
-    """Image of p under the tableau's Clifford, signs and phase exact."""
-    if p.n != tab.n:
-        raise ValueError("dimension mismatch")
-    factors = [pauli.identity(p.n).times_i(p.phase)]
-    factors += [tab.image(j) for j in gf2.set_bits(p.x)]
-    factors += [tab.image(p.n + j) for j in gf2.set_bits(p.z)]
-    return pauli.multiply_all(factors)
-
-
 def majoranas_of_affine(enc: AffineEncoding) -> FermionQubitMapping:
     """Exact Pauli pairs of the affine encoding f -> |G(f xor b)>.
 
@@ -148,8 +138,11 @@ def flip_matrix(m: FermionQubitMapping) -> BinMatrix:
 def detect_classical(m: FermionQubitMapping) -> AffineEncoding | NotClassical:
     """Decide exactly whether m classically encodes the Fock basis; recover (G, b).
 
-    The symbolic vacuum must be a plain computational basis state |q>;
-    G is the flip matrix and b = G^-1 q.  Writing the even Majorana of
+    Precondition: m passes `mapping.validate`.  The symbolic vacuum must be
+    a plain computational basis state |q>; G is the flip matrix and
+    b = G^-1 q, with row i of G^-1 read off m as F(i) = z_2i xor z_2i+1,
+    the XOR of mode i's two Z masks; G is inverted once, by AffineEncoding's
+    own check.  Writing the even Majorana of
     mode i as i^k_i X^x_i Z^z_i, every Fock state is i^phi(f) |G(f xor b)>
     with
 
@@ -168,14 +161,15 @@ def detect_classical(m: FermionQubitMapping) -> AffineEncoding | NotClassical:
     q = vac.bits()
 
     g = flip_matrix(m)
+    b = sum((((a.z ^ c.z) & q).bit_count() & 1) << i for i, (a, c) in enumerate(m.pairs))
     try:
-        ginv = gf2.invert(g)
+        enc = AffineEncoding(g, b)
     except gf2.Singular:
         return NotClassical("excitation flip patterns are not linearly independent")
     f = _phase_witness(m, g, q)
     if f is not None:
         return NotClassical("Fock state outside the +1 computational basis", f, fqm.fock_state(m, f))
-    return AffineEncoding(g, gf2.mat_vec(ginv, q))
+    return enc
 
 
 def _phase_witness(m: FermionQubitMapping, g: BinMatrix, q: int) -> int | None:
@@ -197,18 +191,13 @@ def affine_to_linear(
 ) -> tuple[FermionQubitMapping, int]:
     """The linear encoding with the same G, plus per-operator sign flips.
 
-    Conjugating by X on the qubits selected by b only flips signs, so the
-    returned mapping's 2n operators match m's up to sign; bit i of the
-    returned mask is set where operator i changed sign.
+    Conjugating by X on the qubits selected by b only flips signs: by the
+    formulas of `majoranas_of_affine`, the linear pairs are m's own masks
+    with phases 0 and 1.  Bit i of the returned mask is set where operator
+    i changed sign.
     """
-    expected = majoranas_of_affine(enc)
-    if expected != m:
+    if majoranas_of_affine(enc) != m:
         raise ValueError("mapping does not match the claimed affine encoding")
-    linear = majoranas_of_affine(AffineEncoding(enc.g, 0))
-    flips = 0
-    for i, (got, want) in enumerate(zip(m.gammas, linear.gammas)):
-        if (got.x, got.z) != (want.x, want.z):
-            raise AssertionError("unsigned operators of affine and linear encodings differ")
-        if got.phase != want.phase:
-            flips |= 1 << i
-    return linear, flips
+    pairs = tuple((PauliString(m.n, a.x, a.z, 0), PauliString(m.n, c.x, c.z, 1)) for a, c in m.pairs)
+    flips = sum((op.phase != i % 2) << i for i, op in enumerate(m.gammas))
+    return FermionQubitMapping(m.n, pairs), flips

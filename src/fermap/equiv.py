@@ -104,12 +104,7 @@ SymmetryOp = Union[QubitSwap, LocalBasisChange, PairBraid, SignChange, FermionSw
 
 def _move_bits(mask: int, perm) -> int:
     """The mask with bit i moved to bit perm[i]."""
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << perm[low.bit_length() - 1]
-        mask ^= low
-    return out
+    return sum(1 << perm[i] for i in gf2.set_bits(mask))
 
 
 def _permute_qubits(p: PauliString, perm: tuple[int, ...]) -> PauliString:

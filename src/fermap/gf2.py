@@ -35,15 +35,6 @@ class BinMatrix:
         if any(r & ~mask for r in self.rows):
             raise ValueError("row bits outside matrix width")
 
-    def entry(self, i: int, j: int) -> int:
-        return (self.rows[i] >> j) & 1
-
-    def column(self, j: int) -> int:
-        out = 0
-        for i, r in enumerate(self.rows):
-            out |= ((r >> j) & 1) << i
-        return out
-
     def transpose(self) -> "BinMatrix":
         cols = [0] * self.n
         for i, r in enumerate(self.rows):
@@ -119,14 +110,6 @@ def invert(g: BinMatrix) -> BinMatrix:
     return BinMatrix(n, tuple(inv))
 
 
-def is_invertible(g: BinMatrix) -> bool:
-    try:
-        invert(g)
-    except Singular:
-        return False
-    return True
-
-
 def ufpr_sets(g: BinMatrix, i: int) -> tuple[frozenset[int], frozenset[int], frozenset[int], frozenset[int]]:
     """Update, flip, parity and remainder sets of mode i for invertible G.
 
@@ -138,7 +121,7 @@ def ufpr_sets(g: BinMatrix, i: int) -> tuple[frozenset[int], frozenset[int], fro
     if not 0 <= i < g.n:
         raise ValueError(f"mode index {i} out of range for n={g.n}")
     ginv = invert(g)
-    u_mask = g.column(i)
+    u_mask = sum(((r >> i) & 1) << k for k, r in enumerate(g.rows))  # column i of G
     f_mask = ginv.rows[i]
     p_mask = 0
     for k in range(i):
@@ -190,8 +173,11 @@ def random_invertible(n: int, seed: int) -> BinMatrix:
     limit = 1 << n
     while True:
         g = BinMatrix(n, tuple(rng.randrange(limit) for _ in range(n)))
-        if is_invertible(g):
-            return g
+        try:
+            invert(g)
+        except Singular:
+            continue
+        return g
 
 
 # -- matrix file format -------------------------------------------------------

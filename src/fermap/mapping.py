@@ -66,21 +66,8 @@ class FermionQubitMapping:
             out.extend((a, b))
         return tuple(out)
 
-    def gamma(self, i: int) -> PauliString:
-        a, b = self.pairs[i // 2]
-        return a if i % 2 == 0 else b
-
     def __str__(self) -> str:
         return format_mapping(self)
-
-
-def make_mapping(gammas: Sequence[PauliString]) -> FermionQubitMapping:
-    """Arrange a flat list of 2n operators into consecutive pairs."""
-    if len(gammas) % 2:
-        raise ValueError("need an even number of operators")
-    n = len(gammas) // 2
-    pairs = tuple((gammas[2 * i], gammas[2 * i + 1]) for i in range(n))
-    return FermionQubitMapping(n, pairs)
 
 
 def validate(m: FermionQubitMapping) -> Violation | None:
@@ -292,9 +279,6 @@ class PauliSum:
                 prod.append((_cmul(ca, cb), pauli.multiply(a, b)))
         return PauliSum.from_terms(self.n, prod)
 
-    def scaled(self, c: Coeff) -> "PauliSum":
-        return PauliSum.from_terms(self.n, ((_cmul(c, ca), a) for ca, a in self.terms))
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -326,11 +310,6 @@ def creation(m: FermionQubitMapping, i: int) -> PauliSum:
     return PauliSum.from_terms(m.n, ((_HALF, a), (_MINUS_HALF_I, b)))
 
 
-def number_operator(m: FermionQubitMapping, i: int) -> PauliSum:
-    """A_i^dagger A_i, expanded and normalized."""
-    return creation(m, i) * annihilation(m, i)
-
-
 def transform_ladder_term(
     m: FermionQubitMapping, ops: Sequence[tuple[int, bool]]
 ) -> PauliSum:
@@ -341,16 +320,6 @@ def transform_ladder_term(
             raise ValueError(f"mode {mode} out of range")
         out = out * (creation(m, mode) if dagger else annihilation(m, mode))
     return out
-
-
-def transform_majorana_monomial(
-    m: FermionQubitMapping, indices: Sequence[int]
-) -> PauliString:
-    """Product of the Majorana representatives with the given indices."""
-    for i in indices:
-        if not 0 <= i < 2 * m.n:
-            raise ValueError(f"majorana index {i} out of range")
-    return pauli.multiply_all([m.gamma(i) for i in indices], n=m.n)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ operator as one numpy scatter.  Fock sweeps stream each state as its
 support and amplitudes (idx, amp), so applying an operator is one gather
 and a computational-basis state costs a few numpy calls whatever n; a
 sweep holds only the states on the way to the current one, and a state is
-densified only where a check fails.  The vacuum stabilizers
+densified only where a check fails.  Every check measures a failure
+against the one tolerance TOL.  The vacuum stabilizers
 S_i = -i G_2i G_2i+1 are composed from their pair's two signed
 permutations, so each Majorana is read once per check.  The module
 deliberately shares no code with the symplectic fast paths so that
@@ -27,7 +28,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator
 
 import numpy as np
 
-from .pauli import PauliString, ProductState
+from .pauli import PauliString
 
 if TYPE_CHECKING:  # pragma: no cover
     from .mapping import FermionQubitMapping
@@ -42,26 +43,9 @@ DenseState = np.ndarray
 Action = tuple[np.ndarray, np.ndarray]
 
 _SINGLE = {
-    "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
-
-_EIGENSTATES = {
-    ("Z", +1): np.array([1, 0], dtype=complex),
-    ("Z", -1): np.array([0, 1], dtype=complex),
-    ("X", +1): np.array([1, 1], dtype=complex) / np.sqrt(2),
-    ("X", -1): np.array([1, -1], dtype=complex) / np.sqrt(2),
-    ("Y", +1): np.array([1, 1j], dtype=complex) / np.sqrt(2),
-    ("Y", -1): np.array([1, -1j], dtype=complex) / np.sqrt(2),
-}
-
-
-def basis_state(n: int, bits: int) -> DenseState:
-    psi = np.zeros(1 << n, dtype=complex)
-    psi[bits_to_index(n, bits)] = 1.0
-    return psi
 
 
 def bits_to_index(n: int, bits: int) -> int:
@@ -71,13 +55,6 @@ def bits_to_index(n: int, bits: int) -> int:
         if (bits >> j) & 1:
             idx |= 1 << (n - 1 - j)
     return idx
-
-
-def dense_product_state(s: ProductState) -> DenseState:
-    psi = np.array([1j ** s.phase], dtype=complex)
-    for st in s.qubit_states:
-        psi = np.kron(psi, _EIGENSTATES[st])
-    return psi
 
 
 def _apply_single(mat: np.ndarray, psi: np.ndarray, n: int, j: int) -> np.ndarray:
@@ -99,21 +76,6 @@ def apply_pauli(p: PauliString, psi: DenseState) -> DenseState:
         if xb:
             out = _apply_single(_SINGLE["X"], out, n, j)
     return (1j ** p.phase) * out
-
-
-def dense_matrix(p: PauliString) -> np.ndarray:
-    """Explicit 2^n x 2^n matrix of p via Kronecker products (small n only)."""
-    if p.n > 12:
-        raise ValueError("dense matrix limited to n <= 12")
-    mat = np.array([[1j ** p.phase]], dtype=complex)
-    for j in range(p.n):
-        zb = (p.z >> j) & 1
-        xb = (p.x >> j) & 1
-        local = _SINGLE["X"] @ _SINGLE["Z"] if (xb and zb) else (
-            _SINGLE["X"] if xb else (_SINGLE["Z"] if zb else _SINGLE["I"])
-        )
-        mat = np.kron(mat, local)
-    return mat
 
 
 def _action(n: int, op: Callable[[DenseState], DenseState]) -> Action:
@@ -166,7 +128,7 @@ class CarReport:
         return f"{self.kind} violated at {where} (deviation {self.deviation:.3g})"
 
 
-def check_car(m: "FermionQubitMapping", tol: float = TOL) -> CarReport | None:
+def check_car(m: "FermionQubitMapping") -> CarReport | None:
     """Verify {G_i, G_j} = 2 delta_ij and Hermiticity on all basis states."""
     if m.n > EXHAUSTIVE_LIMIT:
         raise ValueError(f"dense CAR check limited to n <= {EXHAUSTIVE_LIMIT}")
@@ -178,11 +140,11 @@ def check_car(m: "FermionQubitMapping", tol: float = TOL) -> CarReport | None:
         if np.any(perm[perm] != ident):
             return CarReport("square", i, None, 1.0)
         dev = float(np.abs(coeff * coeff[perm] - 1.0).max())
-        if dev > tol:
+        if dev > TOL:
             return CarReport("square", i, None, dev)
         # Hermiticity: <a|G|b> = conj(<b|G|a>)
         dev = float(np.abs(coeff[perm] - coeff.conj()).max())
-        if dev > tol:
+        if dev > TOL:
             return CarReport("hermiticity", i, None, dev)
     for i in range(len(actions)):
         pi, ci = actions[i]
@@ -195,7 +157,7 @@ def check_car(m: "FermionQubitMapping", tol: float = TOL) -> CarReport | None:
                 same, np.abs(comp_ij + comp_ji), np.maximum(np.abs(comp_ij), np.abs(comp_ji))
             )
             dev = float(dev_arr.max())
-            if dev > tol:
+            if dev > TOL:
                 return CarReport("anticommutator", i, j, dev)
     return None
 
@@ -314,17 +276,17 @@ class FockReport:
         return f"{self.reason} at f={self.f:b} (deviation {self.deviation:.3g})"
 
 
-def verify_fock_basis(m: "FermionQubitMapping", tol: float = TOL) -> FockReport | None:
+def verify_fock_basis(m: "FermionQubitMapping") -> FockReport | None:
     """Check that each |f_m> is a ((-1)^{f_i})-eigenstate of the i-th vacuum stabilizer.
 
     Exhaustive over f, for n <= EXHAUSTIVE_LIMIT.  A pass also certifies
     that the Fock basis is orthonormal.  Every |f_m> is a unitary image of
     the unit vacuum, so it has norm 1.  For f != g some S_i wants opposite
     eigenvalues s and -s; write S_i|f_m> = s|f_m> + u and
-    S_i|g_m> = -s|g_m> + v with |u|, |v| <= tol.  S_i is a signed
+    S_i|g_m> = -s|g_m> + v with |u|, |v| <= TOL.  S_i is a signed
     permutation, hence unitary, so <f_m|g_m> = <S_i f_m|S_i g_m>
     = -<f_m|g_m> + s<f_m|v> - s<u|g_m> + <u|v>, and
-    |<f_m|g_m>| <= tol + tol^2/2.
+    |<f_m|g_m>| <= TOL + TOL^2/2.
 
     All n eigenvalues of a state are checked at once on its support: S_i
     sends amp[j] at idx[j] to coeffs[i, idx[j]] * amp[j] at perms[i, idx[j]],
@@ -345,44 +307,40 @@ def verify_fock_basis(m: "FermionQubitMapping", tol: float = TOL) -> FockReport 
         at = pos[perms[:, idx]]
         pos[idx] = -1
         exact = (at >= 0).all() and (coeffs[:, idx] * amp == wants[f][:, None] * amp[at]).all()
-        if exact and tol >= 0:  # a negative tol fails even a deviation of 0
+        if exact:
             continue
         psi = _densify(n, idx, amp)
         for i, s in enumerate(zip(perms, coeffs)):
             want = (-1.0) ** ((f >> i) & 1)
             dev = float(np.linalg.norm(_apply(s, psi) - want * psi))
-            if dev > tol:
+            if dev > TOL:
                 return FockReport(f"stabilizer {i} eigenvalue is not {want:+.0f}", f, dev)
     return None
 
 
-def _subset(n: int, sample: int | None, seed: int) -> list[int] | None:
-    """A seeded sample of occupation vectors (always with 0), or None for all."""
+def _subset(n: int, sample: int | None) -> list[int] | None:
+    """A sample of occupation vectors drawn with seed 0 (always with 0), or None for all."""
     if sample is None:
         if n > EXHAUSTIVE_LIMIT:
             raise ValueError(f"exhaustive dense sweep limited to n <= {EXHAUSTIVE_LIMIT}; pass sample=")
         return None
-    rng = random.Random(seed)
+    rng = random.Random(0)
     return sorted({0} | {rng.randrange(1 << n) for _ in range(sample)})
 
 
-def verify_linear(
-    m: "FermionQubitMapping", g, tol: float = TOL, sample: int | None = None, seed: int = 0
-) -> FockReport | None:
-    """Check |f_m> == |G f> with amplitude exactly +1 for every f."""
-    subset = _subset(m.n, sample, seed)
-    return _verify_encoded(m, g.rows, 0, tol, subset, "Fock state differs from |Gf>")
+def verify_linear(m: "FermionQubitMapping", g, sample: int | None = None) -> FockReport | None:
+    """Check |f_m> == |G f> with amplitude exactly +1 for every f, or for ``sample`` draws."""
+    subset = _subset(m.n, sample)
+    return _verify_encoded(m, g.rows, 0, subset, "Fock state differs from |Gf>")
 
 
-def verify_affine(
-    m: "FermionQubitMapping", enc, tol: float = TOL
-) -> FockReport | None:
+def verify_affine(m: "FermionQubitMapping", enc) -> FockReport | None:
     """Check |f_m> == |G (f xor b)> with amplitude exactly +1 for every f."""
     reason = "Fock state differs from |G(f xor b)>"
-    return _verify_encoded(m, enc.g.rows, enc.b, tol, None, reason)
+    return _verify_encoded(m, enc.g.rows, enc.b, None, reason)
 
 
-def _verify_encoded(m, rows, b, tol, subset, reason) -> FockReport | None:
+def _verify_encoded(m, rows, b, subset, reason) -> FockReport | None:
     """Compare each |f_m> with the basis vector |G(f xor b)>, G given by rows.
 
     A state that is exactly +1 at that index, and zero elsewhere, has
@@ -394,55 +352,11 @@ def _verify_encoded(m, rows, b, tol, subset, reason) -> FockReport | None:
         v = f ^ b
         bits = sum(((row & v).bit_count() & 1) << i for i, row in enumerate(rows))
         k = bits_to_index(n, bits)
-        if len(idx) == 1 and idx[0] == k and amp[0] == 1.0 and tol >= 0:
+        if len(idx) == 1 and idx[0] == k and amp[0] == 1.0:
             continue
         expected = np.zeros(1 << n, dtype=complex)
         expected[k] = 1.0
         dev = float(np.linalg.norm(_densify(n, idx, amp) - expected))
-        if dev > tol:
+        if dev > TOL:
             return FockReport(reason, f, dev)
     return None
-
-
-def verify_lemma1(n: int, tol: float = TOL) -> bool:
-    """Creation-operator, even-Majorana and odd-Majorana Fock definitions agree.
-
-    Uses the Jordan-Wigner operators: for every f the three dense products
-
-        (A_0^d)^{f_0} ... (A_{n-1}^d)^{f_{n-1}} |0...0>
-        (G_0)^{f_0} (G_2)^{f_1} ... |0...0>
-        (-i G_1)^{f_0} (-i G_3)^{f_1} ... |0...0>
-
-    must coincide exactly.
-    """
-    from .mapping import jordan_wigner
-
-    actions = [(_pauli_action(a), _pauli_action(b)) for a, b in jordan_wigner(n).pairs]
-    vac = basis_state(n, 0)
-    for f in range(1 << n):
-        byA = byEven = byOdd = vac
-        for i in reversed(range(n)):
-            if not (f >> i) & 1:
-                continue
-            a, b = actions[i]
-            byA = 0.5 * (_apply(a, byA) - 1j * _apply(b, byA))
-            byEven = _apply(a, byEven)
-            byOdd = -1j * _apply(b, byOdd)
-        if np.linalg.norm(byA - byEven) > tol or np.linalg.norm(byA - byOdd) > tol:
-            return False
-    return True
-
-
-def schmidt_rank(psi: DenseState, n: int, cut: int, tol: float = TOL) -> int:
-    """Schmidt rank of |psi> across qubits [0, cut) vs [cut, n)."""
-    mat = psi.reshape((1 << cut, 1 << (n - cut)))
-    svals = np.linalg.svd(mat, compute_uv=False)
-    return int(np.sum(svals > np.sqrt(tol)))
-
-
-def is_product_state(psi: DenseState, n: int, tol: float = TOL) -> bool:
-    """True when every single-qubit cut has Schmidt rank 1."""
-    for cut in range(1, n):
-        if schmidt_rank(psi, n, cut, tol) != 1:
-            return False
-    return True

@@ -17,7 +17,7 @@ i^k phase tracked exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .gf2 import set_bits
 
@@ -66,9 +66,6 @@ class PauliString:
     def y_count(self) -> int:
         return (self.x & self.z).bit_count()
 
-    def is_identity(self) -> bool:
-        return self.x == 0 and self.z == 0 and self.phase == 0
-
     def is_hermitian(self) -> bool:
         return (self.phase + self.y_count()) % 2 == 0
 
@@ -95,20 +92,6 @@ def identity(n: int) -> PauliString:
     return PauliString(n, 0, 0, 0)
 
 
-def single(n: int, letter: str, j: int, power: int = 0) -> PauliString:
-    """i^power times the named single-qubit Pauli at qubit j."""
-    if not 0 <= j < n:
-        raise ValueError(f"qubit {j} out of range for n={n}")
-    if letter == "X":
-        return PauliString(n, 1 << j, 0, power)
-    if letter == "Z":
-        return PauliString(n, 0, 1 << j, power)
-    if letter == "Y":
-        # Y = i * X * Z
-        return PauliString(n, 1 << j, 1 << j, power + 1)
-    raise ValueError(f"unknown Pauli letter {letter!r}")
-
-
 def from_letters(letters: Sequence[str], power: int = 0) -> PauliString:
     """Build i^power times the tensor product of the given letters."""
     x = z = 0
@@ -132,38 +115,11 @@ def multiply(p: PauliString, q: PauliString) -> PauliString:
     return PauliString(p.n, p.x ^ q.x, p.z ^ q.z, phase)
 
 
-def multiply_all(factors: Iterable[PauliString], n: int | None = None) -> PauliString:
-    factors = list(factors)
-    if not factors:
-        if n is None:
-            raise ValueError("empty product needs an explicit qubit count")
-        return identity(n)
-    out = factors[0]
-    for f in factors[1:]:
-        out = multiply(out, f)
-    return out
-
-
 def anticommutes(p: PauliString, q: PauliString) -> bool:
     """Symplectic inner product (p.x . q.z + p.z . q.x) mod 2; phase-free."""
     if p.n != q.n:
         raise DimensionMismatch(f"{p.n}-qubit vs {q.n}-qubit string")
     return ((p.x & q.z).bit_count() + (p.z & q.x).bit_count()) % 2 == 1
-
-
-def restrict(p: PauliString, qubits: Iterable[int]) -> PauliString:
-    """The string acting as p on the given qubits and as identity elsewhere.
-
-    The i^phase prefactor stays with the restricted part, so the complement
-    taken with a zero prefactor tensor-factorises p exactly:
-    dense(restrict(p, S)) (x) dense(plain letters of p outside S) = dense(p).
-    """
-    mask = 0
-    for j in qubits:
-        if not 0 <= j < p.n:
-            raise ValueError(f"qubit {j} out of range for n={p.n}")
-        mask |= 1 << j
-    return PauliString(p.n, p.x & mask, p.z & mask, p.phase)
 
 
 # -- symbolic product states ------------------------------------------------

@@ -174,11 +174,6 @@ def canonical_paths(t: TernaryTree) -> tuple[PauliString, ...]:
     return tuple(out)
 
 
-def path_paulis(t: TernaryTree) -> list[PauliString]:
-    """The canonical path words rephased to coefficient +1; pairwise anticommuting."""
-    return [PauliString(t.n, p.x, p.z, p.y_count()) for p in canonical_paths(t)]
-
-
 def canonical_mapping(t: TernaryTree) -> FermionQubitMapping:
     """The unique T-based mapping that linearly encodes the Fock basis.
 

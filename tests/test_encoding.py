@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import dense
 from fermap import encoding, equiv, gf2, mapping, oracle, pauli, ttree
 from fermap.encoding import AffineEncoding, NotClassical
 from fermap.gf2 import BinMatrix
@@ -61,11 +62,9 @@ def test_tableau_images_match_dense_conjugation():
             u[oracle.bits_to_index(n, gf2.mat_vec(enc.g, f ^ enc.b)), oracle.bits_to_index(n, f)] = 1.0
         tab = encoding.tableau_of_affine(enc)
         for c in range(2 * n):
-            gen = (
-                pauli.single(n, "X", c) if c < n else pauli.single(n, "Z", c - n)
-            )
-            want = u @ oracle.dense_matrix(gen) @ u.conj().T
-            got = oracle.dense_matrix(tab.image(c))
+            gen = pauli.PauliString(n, 1 << c, 0) if c < n else pauli.PauliString(n, 0, 1 << (c - n))
+            want = u @ dense(gen) @ u.conj().T
+            got = dense(tab.image(c))
             assert np.abs(want - got).max() < 1e-12
 
 
@@ -146,7 +145,11 @@ def _mask(indices):
 
 
 def test_tableau_conjugation_reproduces_majoranas():
-    """Pushing each JW string through the tableau gives the affine operators."""
+    """Pushing each JW string through the tableau gives the affine operators.
+
+    The image of i^k X^x Z^z is i^k times the product of the images of the
+    X_j in x, then of the Z_j in z, signs and phase exact.
+    """
     rng = random.Random(33)
     for _ in range(10):
         n = rng.randrange(1, 6)
@@ -154,8 +157,11 @@ def test_tableau_conjugation_reproduces_majoranas():
         tab = encoding.tableau_of_affine(enc)
         jw = mapping.jordan_wigner(n)
         m = encoding.majoranas_of_affine(enc)
-        for i in range(2 * n):
-            assert encoding.conjugate_via_tableau(tab, jw.gamma(i)) == m.gamma(i)
+        for p, want in zip(jw.gammas, m.gammas):
+            image = pauli.identity(n).times_i(p.phase)
+            for c in [*gf2.set_bits(p.x), *(n + j for j in gf2.set_bits(p.z))]:
+                image = image * tab.image(c)
+            assert image == want
 
 
 def test_detect_classical_jordan_wigner():
@@ -284,11 +290,27 @@ def test_affine_to_linear_unsigned_parts_match():
         n = rng.randrange(1, 7)
         enc = random_affine(rng, n)
         m = encoding.majoranas_of_affine(enc)
-        linear, _ = encoding.affine_to_linear(m, enc)
-        for a, b in zip(m.gammas, linear.gammas):
+        linear, flips = encoding.affine_to_linear(m, enc)
+        assert linear == encoding.majoranas_of_affine(AffineEncoding(enc.g, 0))
+        for i, (a, b) in enumerate(zip(m.gammas, linear.gammas)):
             assert (a.x, a.z) == (b.x, b.z)
+            assert (flips >> i) & 1 == (a.phase != b.phase)
         if n <= 5:
             assert oracle.verify_linear(linear, enc.g) is None
+
+
+def test_detect_classical_and_affine_to_linear_invert_sparingly(monkeypatch):
+    """detect_classical inverts G once, in AffineEncoding's check; affine_to_linear never."""
+    enc = AffineEncoding(gf2.random_invertible(6, 37), 0b011010)
+    m = encoding.majoranas_of_affine(enc)
+    calls = []
+    real_invert = gf2.invert
+    monkeypatch.setattr(gf2, "invert", lambda g: calls.append(g) or real_invert(g))
+    assert encoding.detect_classical(m) == enc
+    assert calls == [enc.g]
+    calls.clear()
+    encoding.affine_to_linear(m, enc)
+    assert calls == []
 
 
 def test_affine_to_linear_precondition():

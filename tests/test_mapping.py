@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import make_mapping
 from fermap import gf2, mapping, pauli, ttree
 from fermap.mapping import FermionQubitMapping, NonProduct, Violation
 from fermap.pauli import PauliString
@@ -121,7 +122,7 @@ def perturbed_mappings(draw):
             gammas[i], gammas[j] = gammas[j], gammas[i]
         else:
             gammas[i] = g.times_i(draw(st.sampled_from((1, 3))))
-    return mapping.make_mapping(gammas)
+    return make_mapping(gammas)
 
 
 @settings(max_examples=400, deadline=None)
@@ -140,12 +141,12 @@ def test_validate_first_violation_at_large_n(m):
     k = len(gammas) - 1
     for i in (0, 5, k - 1):
         copied = gammas[:k] + [gammas[i]]
-        assert mapping.validate(mapping.make_mapping(copied)) == Violation("anticommutation", i, k)
+        assert mapping.validate(make_mapping(copied)) == Violation("anticommutation", i, k)
     swapped = gammas[:]
     swapped[3], swapped[k] = swapped[k], swapped[3]
-    assert mapping.validate(mapping.make_mapping(swapped)) is None
+    assert mapping.validate(make_mapping(swapped)) is None
     scaled = gammas[:7] + [gammas[7].times_i(1)] + gammas[8:]
-    assert mapping.validate(mapping.make_mapping(scaled)) == Violation("hermiticity", 7)
+    assert mapping.validate(make_mapping(scaled)) == Violation("hermiticity", 7)
 
 
 def test_vacuum_stabilizers_jw():
@@ -177,7 +178,7 @@ def test_vacuum_non_product(product_breaking_two_mode):
 @pytest.mark.parametrize("n", [2, 11])
 def test_vacuum_inconsistent_signs_raise(n):
     """Pairs (X0, Y0), (Y0, X0) demand both +Z0 and -Z0 of the vacuum."""
-    x0, y0 = pauli.single(n, "X", 0), pauli.single(n, "Y", 0)
+    x0, y0 = pauli.parse_pauli("+1 X0", n), pauli.parse_pauli("+1 Y0", n)
     m = FermionQubitMapping(n, ((x0, y0), (y0, x0)) + mapping.jordan_wigner(n).pairs[2:])
     assert [str(s) for s in mapping.vacuum_stabilizers(m)[:2]] == ["+1 Z0", "-1 Z0"]
     with pytest.raises(ValueError, match="inconsistent signs"):
@@ -294,12 +295,12 @@ def test_annihilation_squares_to_zero():
 
 def test_number_operator_jw():
     m = mapping.jordan_wigner(3)
-    num = mapping.number_operator(m, 1)
+    num = mapping.transform_ladder_term(m, [(1, True), (1, False)])
     half = (Fraction(1, 2), Fraction(0))
     minus_half = (Fraction(-1, 2), Fraction(0))
     assert num.terms == (
         (half, pauli.identity(3)),
-        (minus_half, pauli.single(3, "Z", 1)),
+        (minus_half, pauli.parse_pauli("+1 Z1", 3)),
     )
 
 
@@ -309,15 +310,8 @@ def test_ladder_term_matches_number_operator():
         t = ttree.random_tree(rng.randrange(1, 7), seed)
         m = ttree.canonical_mapping(t)
         for i in range(m.n):
-            assert mapping.transform_ladder_term(m, [(i, True), (i, False)]) == mapping.number_operator(m, i)
-
-
-def test_transform_majorana_monomial():
-    m = mapping.jordan_wigner(3)
-    out = mapping.transform_majorana_monomial(m, [0, 1])
-    assert out == pauli.multiply(m.gamma(0), m.gamma(1))
-    with pytest.raises(ValueError):
-        mapping.transform_majorana_monomial(m, [6])
+            number = mapping.creation(m, i) * mapping.annihilation(m, i)
+            assert mapping.transform_ladder_term(m, [(i, True), (i, False)]) == number
 
 
 def test_weight_stats_jw():

@@ -5,43 +5,9 @@ import random
 import numpy as np
 import pytest
 
+from conftest import STATE_VEC, Y, dense, dense_state
 from fermap import pauli
 from fermap.pauli import PauliString, ProductState
-
-I2 = np.eye(2, dtype=complex)
-X = np.array([[0, 1], [1, 0]], dtype=complex)
-Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-Z = np.array([[1, 0], [0, -1]], dtype=complex)
-MAT = {"I": I2, "X": X, "Y": Y, "Z": Z}
-
-STATE_VEC = {
-    ("Z", +1): np.array([1, 0], dtype=complex),
-    ("Z", -1): np.array([0, 1], dtype=complex),
-    ("X", +1): np.array([1, 1], dtype=complex) / np.sqrt(2),
-    ("X", -1): np.array([1, -1], dtype=complex) / np.sqrt(2),
-    ("Y", +1): np.array([1, 1j], dtype=complex) / np.sqrt(2),
-    ("Y", -1): np.array([1, -1j], dtype=complex) / np.sqrt(2),
-}
-
-
-def dense(p: PauliString) -> np.ndarray:
-    """Independent dense form: i^phase * kron of X^x Z^z factors."""
-    out = np.array([[1j ** p.phase]], dtype=complex)
-    for j in range(p.n):
-        local = np.eye(2, dtype=complex)
-        if (p.x >> j) & 1:
-            local = local @ X
-        if (p.z >> j) & 1:
-            local = local @ Z
-        out = np.kron(out, local)
-    return out
-
-
-def dense_state(s: ProductState) -> np.ndarray:
-    vec = np.array([1j ** s.phase], dtype=complex)
-    for st in s.qubit_states:
-        vec = np.kron(vec, STATE_VEC[st])
-    return vec
 
 
 def random_pauli(rng, n):
@@ -49,7 +15,7 @@ def random_pauli(rng, n):
 
 
 def test_multiply_xz_is_minus_i_y():
-    p = pauli.single(1, "X", 0) * pauli.single(1, "Z", 0)
+    p = pauli.parse_pauli("+1 X0", 1) * pauli.parse_pauli("+1 Z0", 1)
     assert np.allclose(dense(p), -1j * Y)
     assert p == PauliString(1, 1, 1, 0)
 
@@ -103,7 +69,7 @@ def test_hermitian_square_is_identity():
 
 
 def test_anticommutes_basics():
-    assert pauli.anticommutes(pauli.single(1, "X", 0), pauli.single(1, "Y", 0))
+    assert pauli.anticommutes(pauli.parse_pauli("+1 X0", 1), pauli.parse_pauli("+1 Y0", 1))
     x0 = pauli.parse_pauli("+1 X0", 2)
     x0x1 = pauli.parse_pauli("+1 X0 X1", 2)
     assert not pauli.anticommutes(x0, x0x1)
@@ -135,7 +101,7 @@ def test_weight_and_y_count():
 
 
 def test_hermiticity_predicate():
-    p = pauli.single(1, "X", 0) * pauli.single(1, "Z", 0)  # X0 Z0 = -iY0
+    p = pauli.parse_pauli("+1 X0", 1) * pauli.parse_pauli("+1 Z0", 1)  # X0 Z0 = -iY0
     assert not p.is_hermitian()
     assert p.times_i(1).is_hermitian()  # i*X0Z0 = Y0
     rng = random.Random(5)
@@ -147,7 +113,7 @@ def test_hermiticity_predicate():
 
 def test_apply_to_product_state_basics():
     s0 = pauli.computational_state(1, 0)
-    out = pauli.apply_to_product_state(pauli.single(1, "X", 0), s0)
+    out = pauli.apply_to_product_state(pauli.parse_pauli("+1 X0", 1), s0)
     assert out == pauli.computational_state(1, 1)
 
     # gamma_2 = Z0X1 on |00> gives |01> with coefficient +1
@@ -184,7 +150,7 @@ def test_computational_state_rejects_out_of_range_bits():
 
 
 def test_apply_y_phases_match_dense():
-    y0 = pauli.single(1, "Y", 0)
+    y0 = pauli.parse_pauli("+1 Y0", 1)
     plus = pauli.apply_to_product_state(y0, pauli.computational_state(1, 0))
     minus = pauli.apply_to_product_state(y0, pauli.computational_state(1, 1))
     assert np.allclose(dense_state(plus), Y @ STATE_VEC[("Z", +1)])
@@ -212,36 +178,6 @@ def test_apply_commutes_with_multiply():
         via_two = pauli.apply_to_product_state(p, pauli.apply_to_product_state(q, s))
         via_one = pauli.apply_to_product_state(pauli.multiply(p, q), s)
         assert via_two == via_one
-
-
-def test_restrict_examples():
-    p = pauli.parse_pauli("+1 X0 Z1 X2", 3)
-    assert pauli.format_pauli(pauli.restrict(p, [0, 2])) == "+1 X0 X2"
-    assert pauli.restrict(p, range(3)) == p
-
-
-def test_restrict_tensor_factorisation():
-    rng = random.Random(8)
-    cases = [pauli.parse_pauli("+1 Z0 Y1 Z2", 3)] + [random_pauli(rng, 3) for _ in range(100)]
-    for p in cases:
-        for mask_bits in range(8):
-            subset = [j for j in range(3) if (mask_bits >> j) & 1]
-            rest = [j for j in range(3) if not (mask_bits >> j) & 1]
-            kept = pauli.restrict(p, subset)
-            other = pauli.restrict(p, rest)
-            other_plain = PauliString(3, other.x, other.z, 0)
-            assert np.allclose(dense(p), dense(kept) @ dense(other_plain), atol=1e-12)
-
-
-def test_restrict_keeps_y_factor_consistent():
-    p = pauli.parse_pauli("+1 Z0 Y1 Z2", 3)
-    kept = pauli.restrict(p, [1])
-    assert pauli.format_pauli(kept) == "+1 Y1"
-
-
-def test_restrict_out_of_range():
-    with pytest.raises(ValueError):
-        pauli.restrict(pauli.identity(2), [2])
 
 
 def test_text_format_round_trip():

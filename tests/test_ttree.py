@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import dense_state
 from fermap import cli, equiv, gf2, mapping, oracle, pauli, ttree
 from fermap.equiv import PairBraid, SignChange
 from fermap.ttree import MalformedTree
@@ -54,13 +55,13 @@ def test_parse_rejects_non_canonical_labels(label):
 
 def test_path_paulis_chain():
     t = ttree.parse_tree(CHAIN)
-    got = {str(p) for p in ttree.path_paulis(t)}
-    assert got == {"+1 X0", "+1 Y0", "+1 Z0 X1", "+1 Z0 Y1", "+1 Z0 Z1"}
+    got = {str(p) for p in ttree.canonical_paths(t)}
+    assert got == {"+1 X0", "-i Y0", "+1 Z0 X1", "-i Z0 Y1", "+1 Z0 Z1"}  # plain X^x Z^z words
 
 
 def test_path_paulis_single_vertex():
     t = ttree.parse_tree("(0)")
-    assert {str(p) for p in ttree.path_paulis(t)} == {"+1 X0", "+1 Y0", "+1 Z0"}
+    assert {str(p) for p in ttree.canonical_paths(t)} == {"+1 X0", "-i Y0", "+1 Z0"}
 
 
 def test_path_paulis_maximally_anticommuting():
@@ -68,7 +69,7 @@ def test_path_paulis_maximally_anticommuting():
     for seed in range(20):
         n = rng.randrange(1, 9)
         t = ttree.random_tree(n, seed)
-        strings = ttree.path_paulis(t)
+        strings = ttree.canonical_paths(t)
         assert len(strings) == 2 * n + 1
         assert len({(s.x, s.z) for s in strings}) == 2 * n + 1
         for i in range(len(strings)):
@@ -97,7 +98,7 @@ def test_pair_for_vacuum_uses_distinct_path_strings():
         t = ttree.random_tree(n, seed)
         v = random_product_state(rng, n)
         m = ttree.pair_for_vacuum(t, v)
-        pool = {(s.x, s.z) for s in ttree.path_paulis(t)}
+        pool = {(s.x, s.z) for s in ttree.canonical_paths(t)}
         used = {(g.x, g.z) for g in m.gammas}
         assert len(used) == 2 * n and used <= pool
 
@@ -112,7 +113,7 @@ def test_pair_for_vacuum_vacuum_matches_symbolically_and_densely():
         assert mapping.validate(m) is None
         assert mapping.vacuum_state(m) == v
         dense = oracle.dense_vacuum(m)
-        want = oracle.dense_product_state(v)
+        want = dense_state(v)
         want = want / want[np.flatnonzero(np.abs(want) > 1e-9)[0]] * abs(
             want[np.flatnonzero(np.abs(want) > 1e-9)[0]]
         )
@@ -127,7 +128,7 @@ def test_pair_for_vacuum_five_vertex_example():
     assert mapping.validate(m) is None
     assert mapping.vacuum_state(m) == v
     dense = oracle.dense_vacuum(m)
-    overlap = abs(np.vdot(dense, oracle.dense_product_state(v)))
+    overlap = abs(np.vdot(dense, dense_state(v)))
     assert abs(overlap - 1.0) < 1e-9
 
 
@@ -271,7 +272,7 @@ def test_revacuum_reaches_target():
         assert mapping.validate(m2) is None
         assert mapping.vacuum_state(m2) == target
         # new mapping is t2-based
-        pool = {(s.x, s.z) for s in ttree.path_paulis(t2)}
+        pool = {(s.x, s.z) for s in ttree.canonical_paths(t2)}
         assert {(g.x, g.z) for g in m2.gammas} <= pool
 
 
@@ -352,9 +353,9 @@ def _ref_string(n, steps):
 
 def _ref_stab_pair(letter, sign):
     """The ordered pair (B, C) with -iBC equal to sign * letter."""
-    want = pauli.single(1, letter, 0, 0 if sign > 0 else 2)
+    want = pauli.from_letters(letter, 0 if sign > 0 else 2)
     for b, c in itertools.permutations(set("XYZ") - {letter}, 2):
-        if pauli.multiply(pauli.single(1, b, 0), pauli.single(1, c, 0)).times_i(3) == want:
+        if pauli.multiply(pauli.from_letters(b), pauli.from_letters(c)).times_i(3) == want:
             return b, c
 
 
@@ -393,8 +394,8 @@ def test_path_words_match_recursive_letter_walk():
         ref = [_ref_string(n, steps) for steps in _ref_steps(t, canonical=True)]
         plain = [pauli.PauliString(n, p.x, p.z) for p in ref]
         assert list(ttree.canonical_paths(t)) == plain
-        assert ttree.path_paulis(t) == ref
-        assert set(ttree.path_paulis(t)) == {_ref_string(n, s) for s in _ref_steps(t, canonical=False)}
+        unordered = [_ref_string(n, steps) for steps in _ref_steps(t, canonical=False)]
+        assert set(plain) == {pauli.PauliString(n, p.x, p.z) for p in unordered}
         v = random_product_state(rng, n)
         assert ttree.pair_for_vacuum(t, v) == _ref_pair_for_vacuum(t, v)
 
