@@ -178,10 +178,7 @@ def cmd_equivalent(args) -> int:
             raise InputError(f"invalid mapping {path}: {bad}")
     if m1.n != m2.n:
         raise InputError("mappings have different mode counts")
-    if m1.n > args.max_n:
-        print(f"Unknown: n={m1.n} exceeds --max-n {args.max_n}")
-        return 1
-    res = equiv.equivalent(m1, m2, budget=10**9)
+    res = equiv.equivalent(m1, m2)
     if isinstance(res, equiv.Equivalent):
         sys.stdout.write("Equivalent\n")
         sys.stdout.write(equiv.format_ops(res.witness))
@@ -331,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equivalent", help="decide labelling-symmetry equivalence")
     p.add_argument("--a", required=True)
     p.add_argument("--b", required=True)
-    p.add_argument("--max-n", type=int, default=4)
     p.set_defaults(func=cmd_equivalent)
 
     p = sub.add_parser("transform", help="transform a ladder-operator term")

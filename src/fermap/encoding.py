@@ -178,9 +178,8 @@ def _phase_witness(m: FermionQubitMapping, g: BinMatrix, q: int) -> int | None:
     for i, a in enumerate(evens):
         if (a.phase + 2 * (a.z & q).bit_count()) % 4:
             return 1 << i
-    gt = g.transpose()  # row j is x_j, so bit j of G^T z_i is c_ij
     for i, a in enumerate(evens):
-        later = gf2.mat_vec(gt, a.z) >> (i + 1)
+        later = gf2.xor_rows(g.rows, a.z) >> (i + 1)  # row q of G holds bit q of every x_j
         if later:
             return (1 << i) | ((later & -later) << (i + 1))
     return None

@@ -1,9 +1,10 @@
 """Binary linear algebra over F2 with int-bitset rows.
 
-Provides invertible matrices, the update/flip/parity/remainder index sets
+Provides one elimination (lowest-bit pivots, shared by `invert` and
+`solve`), products as row XORs, the update/flip/parity/remainder index sets
 used to build Pauli representations of encoded Majorana operators, and
 constructors for the named encoding matrices (identity, parity,
-Bravyi-Kitaev, and the strictly-lower-triangular accumulator Pi).
+Bravyi-Kitaev).
 
 Bit-vectors are plain Python ints: bit j is coordinate j.
 """
@@ -14,7 +15,7 @@ import random
 from dataclasses import dataclass
 from itertools import accumulate, count
 from operator import add
-from typing import Iterable
+from typing import Iterable, Sequence
 
 
 class Singular(ValueError):
@@ -38,9 +39,8 @@ class BinMatrix:
     def transpose(self) -> "BinMatrix":
         cols = [0] * self.n
         for i, r in enumerate(self.rows):
-            while r:  # one step per set bit
-                cols[(r & -r).bit_length() - 1] |= 1 << i
-                r &= r - 1
+            for j in set_bits(r):
+                cols[j] |= 1 << i
         return BinMatrix(self.n, tuple(cols))
 
     def __str__(self) -> str:
@@ -77,37 +77,68 @@ def mat_vec(g: BinMatrix, v: int) -> int:
     return out
 
 
+def xor_rows(rows: Sequence[int], mask: int) -> int:
+    """XOR of rows[k] over the set bits k of mask."""
+    out = 0
+    for k in set_bits(mask):
+        out ^= rows[k]
+    return out
+
+
 def mat_mul(a: BinMatrix, b: BinMatrix) -> BinMatrix:
     if a.n != b.n:
         raise ValueError("dimension mismatch")
-    bt = b.transpose()
-    rows = tuple(
-        sum(((ra & bt.rows[j]).bit_count() & 1) << j for j in range(a.n))
-        for ra in a.rows
-    )
-    return BinMatrix(a.n, rows)
+    return BinMatrix(a.n, tuple(xor_rows(b.rows, ra) for ra in a.rows))
+
+
+def _echelon(rows: Iterable[tuple[int, int]]) -> dict[int, tuple[int, int]] | None:
+    """Reduce each (mask, rhs) by the earlier pivots and key it by its lowest bit.
+
+    rhs may be a bit-vector.  Returns {lowest bit: (mask, rhs)}, or None when
+    a row reduces to 0 with a nonzero rhs.
+    """
+    pivots: dict[int, tuple[int, int]] = {}
+    for mask, rhs in rows:
+        while mask and (mask & -mask) in pivots:
+            pmask, prhs = pivots[mask & -mask]
+            mask ^= pmask
+            rhs ^= prhs
+        if mask:
+            pivots[mask & -mask] = (mask, rhs)
+        elif rhs:
+            return None
+    return pivots
+
+
+def solve(rows: Iterable[tuple[int, int]]) -> int | None:
+    """Solve sum_{j in mask} v_j = rhs over F2 for all (mask, rhs), free variables 0; None if inconsistent."""
+    pivots = _echelon(rows)
+    if pivots is None:
+        return None
+    solution = 0
+    for low in sorted(pivots, reverse=True):
+        mask, rhs = pivots[low]
+        if rhs ^ ((solution & mask).bit_count() & 1):
+            solution |= low
+    return solution
 
 
 def invert(g: BinMatrix) -> BinMatrix:
-    """Gauss-Jordan inverse; raises Singular if G is not in GL_n(F2)."""
-    n = g.n
-    work = list(g.rows)
-    inv = [1 << i for i in range(n)]
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if (work[r] >> col) & 1:
-                pivot = r
-                break
-        if pivot is None:
-            raise Singular(f"no pivot in column {col}")
-        work[col], work[pivot] = work[pivot], work[col]
-        inv[col], inv[pivot] = inv[pivot], inv[col]
-        for r in range(n):
-            if r != col and ((work[r] >> col) & 1):
-                work[r] ^= work[col]
-                inv[r] ^= inv[col]
-    return BinMatrix(n, tuple(inv))
+    """G^-1 by lowest-bit elimination; raises Singular if G is not in GL_n(F2).
+
+    Pivot (mask, rhs): the rows of G in rhs sum to mask, so row k of G^-1 is
+    rhs xor the inverse rows of mask's higher bits, filled highest first.
+    The last row is fed first: a lower-triangular G such as parity then needs
+    one reduction step per row, where first-row-first needs up to n.
+    """
+    pivots = _echelon((g.rows[i], 1 << i) for i in reversed(range(g.n)))
+    if pivots is None:  # the rhs never reduce to 0, so a dependent row gets here
+        raise Singular("rows are linearly dependent")
+    inv = [0] * g.n
+    for low in sorted(pivots, reverse=True):
+        mask, rhs = pivots[low]
+        inv[low.bit_length() - 1] = rhs ^ xor_rows(inv, mask ^ low)
+    return BinMatrix(g.n, tuple(inv))
 
 
 def ufpr_sets(g: BinMatrix, i: int) -> tuple[frozenset[int], frozenset[int], frozenset[int], frozenset[int]]:
@@ -123,9 +154,7 @@ def ufpr_sets(g: BinMatrix, i: int) -> tuple[frozenset[int], frozenset[int], fro
     ginv = invert(g)
     u_mask = sum(((r >> i) & 1) << k for k, r in enumerate(g.rows))  # column i of G
     f_mask = ginv.rows[i]
-    p_mask = 0
-    for k in range(i):
-        p_mask ^= ginv.rows[k]
+    p_mask = xor_rows(ginv.rows, (1 << i) - 1)
     r_mask = f_mask ^ p_mask
     return tuple(frozenset(set_bits(m)) for m in (u_mask, f_mask, p_mask, r_mask))  # type: ignore[return-value]
 
@@ -136,8 +165,6 @@ def named_matrix(kind: str, n: int) -> BinMatrix:
     identity       -- the Jordan-Wigner matrix.
     parity         -- lower-triangular all-ones including the diagonal
                       (the diagonal is required for invertibility).
-    pi             -- strictly lower-triangular all-ones, zero diagonal;
-                      the prefix-sum accumulator used by the parity sets.
     bravyi_kitaev  -- recursive: B_1 = [1] and B_{2m} has B_m on the diagonal
                       blocks with the first row of the top-right block all
                       ones.  This orientation reproduces the two-mode
@@ -150,8 +177,6 @@ def named_matrix(kind: str, n: int) -> BinMatrix:
         return identity_matrix(n)
     if kind == "parity":
         return BinMatrix(n, tuple((1 << (i + 1)) - 1 for i in range(n)))
-    if kind == "pi":
-        return BinMatrix(n, tuple((1 << i) - 1 for i in range(n)))
     if kind == "bravyi_kitaev":
         if n & (n - 1):
             raise ValueError(f"bravyi_kitaev needs n a power of 2, got {n}")

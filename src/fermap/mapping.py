@@ -162,35 +162,11 @@ def vacuum_state(m: FermionQubitMapping) -> ProductState | NonProduct:
         else:  # stabilizers of a valid mapping are Hermitian: +/-1 only
             raise ValueError("vacuum stabilizer with imaginary prefactor")
         rows.append((s.x | s.z, sign_bit))
-    assign = _solve_sign_system(rows)
+    assign = gf2.solve(rows)
     if assign is None:
         raise ValueError("vacuum stabilizers demand inconsistent signs")
     # qubits no stabilizer addresses sit in |0>
     return ProductState(m.n, x, z | ~x & ((1 << m.n) - 1), assign)
-
-
-def _solve_sign_system(rows: list[tuple[int, int]]) -> int | None:
-    """Solve sum_{j in mask} v_j = rhs over F2 for every (mask, rhs); None if inconsistent.
-
-    Free variables are 0.  Each pivot row is keyed by its lowest bit, so it
-    involves only its key and higher bits.
-    """
-    pivots: dict[int, tuple[int, int]] = {}  # lowest bit -> (mask, rhs)
-    for mask, rhs in rows:
-        while mask and (mask & -mask) in pivots:
-            pmask, prhs = pivots[mask & -mask]
-            mask ^= pmask
-            rhs ^= prhs
-        if mask:
-            pivots[mask & -mask] = (mask, rhs)
-        elif rhs:
-            return None
-    solution = 0
-    for low in sorted(pivots, reverse=True):
-        mask, rhs = pivots[low]
-        if rhs ^ ((solution & mask).bit_count() & 1):
-            solution |= low
-    return solution
 
 
 def fock_state(m: FermionQubitMapping, f: int) -> ProductState:

@@ -306,3 +306,20 @@ def test_criterion_13_thousand_mode_validate_and_text():
     for m, text in zip((tree, bk), texts):
         assert text.startswith(f"n={m.n}\npair 0: ") and text.count("\n") == m.n + 1
     _report(13, elapsed, 1.5, "validate + format_mapping on tree n=3000 and BK n=2048")
+
+
+def test_criterion_14_thousand_mode_linear_encodings():
+    """The affine constructor, its Majoranas, detection and a Fock state on
+    G_T of a 3000-mode tree and on BK n = 2048 are fast."""
+    matrices = [ttree.tree_matrix(ttree.random_tree(3000, 1)), gf2.named_matrix("bravyi_kitaev", 2048)]
+    start = time.time()
+    results = []
+    for g in matrices:
+        m = encoding.majoranas_of_affine(AffineEncoding(g, 0))
+        f = random.Random(g.n).getrandbits(g.n)
+        results.append((encoding.detect_classical(m), f, mapping.fock_state(m, f)))
+    elapsed = time.time() - start
+    for g, (det, f, state) in zip(matrices, results):
+        assert isinstance(det, AffineEncoding) and (det.g, det.b) == (g, 0)
+        assert state.is_computational() and state.bits() == gf2.mat_vec(g, f) and state.phase == 0
+    _report(14, elapsed, 1.5, "affine Majoranas, detection and a Fock state on tree n=3000 and BK n=2048")

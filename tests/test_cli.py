@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from fermap import cli, gf2, mapping, pauli, ttree
+from fermap import cli, equiv, gf2, mapping, pauli, ttree
 
 
 def run(capsys, *argv):
@@ -170,10 +170,15 @@ def test_equivalent_cli(tmp_path, capsys):
 
 
 def test_equivalent_respects_max_n(tmp_path, capsys):
-    a = tmp_path / "a.map"
-    a.write_text(mapping.format_mapping(mapping.jordan_wigner(5)))
-    code, out, _ = run(capsys, "equivalent", "--a", str(a), "--b", str(a), "--max-n", "4")
-    assert code == 1 and out.startswith("Unknown")
+    """From n = 5 the library budget answers Unknown; --max-n is no option."""
+    jw5 = mapping.jordan_wigner(5)
+    a, b = tmp_path / "a.map", tmp_path / "b.map"
+    a.write_text(mapping.format_mapping(jw5))
+    b.write_text(mapping.format_mapping(equiv.apply_symmetries(jw5, (equiv.QubitSwap((4, 3, 2, 1, 0)),))))
+    code, out, _ = run(capsys, "equivalent", "--a", str(a), "--b", str(b))
+    assert code == 1 and out == "Unknown: search space 933120 exceeds budget 200000\n"
+    code, _, _ = run(capsys, "equivalent", "--a", str(a), "--b", str(b), "--max-n", "5")
+    assert code == 2
 
 
 def test_equivalent_rejects_invalid_mapping(tmp_path, capsys):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from fermap import gf2
+from fermap import gf2, ttree
 from fermap.gf2 import BinMatrix, Singular
 
 
@@ -18,6 +18,73 @@ def brute_sets(g: BinMatrix, i: int):
     for k in range(i):
         p = p ^ frozenset(c for c in range(n) if (ginv.rows[k] >> c) & 1)
     return u, f, p, f ^ p
+
+
+def gauss_jordan_inverse(g: BinMatrix) -> BinMatrix:
+    """Reference inverse: Gauss-Jordan with a row swap per column."""
+    n = g.n
+    work = list(g.rows)
+    inv = [1 << i for i in range(n)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if (work[r] >> col) & 1), None)
+        if pivot is None:
+            raise Singular(f"no pivot in column {col}")
+        work[col], work[pivot] = work[pivot], work[col]
+        inv[col], inv[pivot] = inv[pivot], inv[col]
+        for r in range(n):
+            if r != col and ((work[r] >> col) & 1):
+                work[r] ^= work[col]
+                inv[r] ^= inv[col]
+    return BinMatrix(n, tuple(inv))
+
+
+def popcount_mat_mul(a: BinMatrix, b: BinMatrix) -> BinMatrix:
+    """Reference product: entry (i, j) is the parity of row i of A and column j of B."""
+    cols = [sum(((r >> j) & 1) << k for k, r in enumerate(b.rows)) for j in range(b.n)]
+    return BinMatrix(a.n, tuple(sum(((ra & c).bit_count() & 1) << j for j, c in enumerate(cols)) for ra in a.rows))
+
+
+def entry_transpose(g: BinMatrix) -> BinMatrix:
+    return BinMatrix(g.n, tuple(sum(((r >> j) & 1) << i for i, r in enumerate(g.rows)) for j in range(g.n)))
+
+
+def reference_corpus():
+    """All 3x3 matrices, seeded random ones (n <= 12, many singular), G_T of
+    random trees (n <= 300), BK 256, parity 256 and the identity."""
+    out = [BinMatrix(3, (k & 7, k >> 3 & 7, k >> 6)) for k in range(512)]
+    rng = random.Random(16)
+    for _ in range(300):
+        n = rng.randrange(1, 13)
+        rows = [rng.getrandbits(n) for _ in range(n)]
+        if n > 1 and rng.random() < 0.2:  # a repeated row: singular by construction
+            rows[rng.randrange(n)] = rows[rng.randrange(n)]
+        out.append(BinMatrix(n, tuple(rows)))
+    for n in (1, 2, 3, 7, 20, 64, 150, 300):
+        for seed in range(2):
+            out.append(ttree.tree_matrix(ttree.random_tree(n, seed)))
+    out += [gf2.named_matrix("bravyi_kitaev", 256), gf2.named_matrix("parity", 256), gf2.identity_matrix(256)]
+    return out
+
+
+def test_invert_mat_mul_transpose_match_references():
+    """invert agrees with Gauss-Jordan (or both raise Singular); mat_mul and
+    transpose agree with their entrywise references."""
+    rng = random.Random(17)
+    singular = 0
+    for g in reference_corpus():
+        try:
+            expected = gauss_jordan_inverse(g)
+        except Singular:
+            singular += 1
+            with pytest.raises(Singular):
+                gf2.invert(g)
+        else:
+            assert gf2.invert(g) == expected
+        h = BinMatrix(g.n, tuple(rng.getrandbits(g.n) for _ in range(g.n)))
+        assert gf2.mat_mul(g, h) == popcount_mat_mul(g, h)
+        assert gf2.mat_mul(h, g) == popcount_mat_mul(h, g)
+        assert g.transpose() == entry_transpose(g)
+    assert singular > 400
 
 
 def test_invert_identity():
@@ -87,9 +154,8 @@ def test_ufpr_index_range():
         gf2.ufpr_sets(gf2.identity_matrix(3), 3)
 
 
-def test_named_parity_and_pi():
+def test_named_parity():
     assert gf2.named_matrix("parity", 3).rows == (0b001, 0b011, 0b111)
-    assert gf2.named_matrix("pi", 3).rows == (0b000, 0b001, 0b011)
 
 
 def test_named_bravyi_kitaev_small():

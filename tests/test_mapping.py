@@ -199,7 +199,7 @@ def test_solve_sign_system_matches_exhaustive_search():
         def satisfies(v):
             return all((mask & v).bit_count() & 1 == rhs for mask, rhs in rows)
 
-        got = mapping._solve_sign_system(rows)
+        got = gf2.solve(rows)
         if got is None:
             inconsistent += 1
             assert not any(satisfies(v) for v in range(1 << n))
