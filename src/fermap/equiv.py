@@ -347,25 +347,26 @@ class CensusResult:
 
 
 def two_mode_census() -> CensusResult:
-    """Classify every ordered 4-tuple of anticommuting unsigned 2-qubit Paulis."""
+    """Classify every ordered 4-tuple of anticommuting unsigned 2-qubit Paulis.
+
+    Tuples grow one string at a time, and only by strings that anticommute
+    with every string already chosen (a string commutes with itself, so the
+    entries stay distinct).
+    """
     strings = [
         pauli.from_letters((a, b))
         for a in ("I",) + LETTERS
         for b in ("I",) + LETTERS
         if (a, b) != ("I", "I")
     ]
+    quads: list[tuple[PauliString, ...]] = [()]
+    for _ in range(4):
+        quads = [q + (s,) for q in quads for s in strings if all(pauli.anticommutes(s, t) for t in q)]
     counts = {t: 0 for t in TwoModeTemplate}
-    total = 0
-    for quad in itertools.permutations(strings, 4):
-        good = all(
-            pauli.anticommutes(quad[i], quad[j]) for i in range(4) for j in range(i + 1, 4)
-        )
-        if not good:
-            continue
+    for quad in quads:
         m = FermionQubitMapping(2, ((quad[0], quad[1]), (quad[2], quad[3])))
         counts[classify_two_mode(m)] += 1
-        total += 1
-    return CensusResult(counts, total)
+    return CensusResult(counts, len(quads))
 
 
 # -- witness serialization ----------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from . import gf2, pauli
@@ -69,6 +70,12 @@ class FermionQubitMapping:
     def __str__(self) -> str:
         return format_mapping(self)
 
+    @cached_property
+    def _vacuum(self) -> ProductState | NonProduct:
+        """`vacuum_state`'s answer, solved once per object: the fields are
+        frozen, and a raised ValueError is not stored, so it raises again."""
+        return _solve_vacuum(self)
+
 
 def validate(m: FermionQubitMapping) -> Violation | None:
     """Check Hermiticity of all 2n operators and pairwise anticommutation.
@@ -102,6 +109,8 @@ def validate(m: FermionQubitMapping) -> Violation | None:
 
 def jordan_wigner(n: int) -> FermionQubitMapping:
     """Z-chain mapping: gamma_2i = Z_0..Z_{i-1} X_i, gamma_2i+1 = Z_0..Z_{i-1} Y_i."""
+    if n <= 0:
+        raise ValueError("n must be positive")
     pairs = []
     for i in range(n):
         chain = (1 << i) - 1
@@ -140,7 +149,13 @@ def vacuum_state(m: FermionQubitMapping) -> ProductState | NonProduct:
     over F2.  Returns NonProduct when two stabilizers clash on a qubit, and
     raises ValueError when the letters agree but the signs are inconsistent
     (no valid mapping does that: its stabilizers never generate -1).
+    The answer is kept on ``m``, so later calls, and every `fock_state` of
+    ``m``, reuse it.
     """
+    return m._vacuum
+
+
+def _solve_vacuum(m: FermionQubitMapping) -> ProductState | NonProduct:
     stabs = vacuum_stabilizers(m)
     x = z = 0  # the letters seen so far, in PauliString's code
     for s in stabs:
@@ -191,17 +206,6 @@ def fock_state(m: FermionQubitMapping, f: int) -> ProductState:
 
 Coeff = tuple[Fraction, Fraction]  # real and imaginary parts
 
-_I_POWERS: tuple[Coeff, ...] = (
-    (Fraction(1), Fraction(0)),
-    (Fraction(0), Fraction(1)),
-    (Fraction(-1), Fraction(0)),
-    (Fraction(0), Fraction(-1)),
-)
-
-
-def _cadd(a: Coeff, b: Coeff) -> Coeff:
-    return (a[0] + b[0], a[1] + b[1])
-
 
 def _cmul(a: Coeff, b: Coeff) -> Coeff:
     return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
@@ -222,19 +226,25 @@ class PauliSum:
     @staticmethod
     def from_terms(n: int, terms: Iterable[tuple[Coeff, PauliString]]) -> "PauliSum":
         acc: dict[tuple[int, int], Coeff] = {}
-        for coeff, op in terms:
+        for (re, im), op in terms:
             if op.n != n:
                 raise ValueError("operator width differs from sum width")
-            # fold the operator's scalar into the coefficient, keeping the
-            # plain letter product (display +1) as the stored representative
-            folded = _cmul(coeff, _I_POWERS[op.display_power()])
+            # fold the operator's scalar i^k into the coefficient as k quarter
+            # turns, keeping the plain letter product (display +1) as the
+            # stored representative
+            for _ in range(op.display_power()):
+                re, im = -im, re
             key = (op.x, op.z)
-            acc[key] = _cadd(acc.get(key, (Fraction(0), Fraction(0))), folded)
+            if key in acc:
+                re, im = acc[key][0] + re, acc[key][1] + im
+            acc[key] = (re, im)
         out = []
         for (x, z) in sorted(acc):
             c = acc[(x, z)]
-            if c == (0, 0):
+            if not (c[0] or c[1]):
                 continue
+            if type(c[0]) is not Fraction or type(c[1]) is not Fraction:  # ints from a caller
+                c = (Fraction(c[0]), Fraction(c[1]))
             out.append((c, PauliString(n, x, z, (x & z).bit_count())))
         return PauliSum(n, tuple(out))
 

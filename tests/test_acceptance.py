@@ -323,3 +323,21 @@ def test_criterion_14_thousand_mode_linear_encodings():
         assert isinstance(det, AffineEncoding) and (det.g, det.b) == (g, 0)
         assert state.is_computational() and state.bits() == gf2.mat_vec(g, f) and state.phase == 0
     _report(14, elapsed, 1.5, "affine Majoranas, detection and a Fock state on tree n=3000 and BK n=2048")
+
+
+def test_criterion_15_fock_state_sweeps():
+    """fock_state over 64 seeded occupation vectors of a 3000-mode tree and
+    over all 4096 of a 12-mode tree is fast: the vacuum is solved once per
+    mapping, not once per state."""
+    trees = [ttree.random_tree(3000, 1), ttree.random_tree(12, 1)]
+    maps = [ttree.canonical_mapping(t) for t in trees]
+    rng = random.Random(15)
+    vectors = [[rng.getrandbits(3000) for _ in range(64)], range(1 << 12)]
+    start = time.time()
+    states = [[mapping.fock_state(m, f) for f in fs] for m, fs in zip(maps, vectors)]
+    elapsed = time.time() - start
+    for t, fs, sts in zip(trees, vectors, states):
+        g = ttree.tree_matrix(t)
+        for f, state in zip(fs, sts):
+            assert state.is_computational() and state.bits() == gf2.mat_vec(g, f) and state.phase == 0
+    _report(15, elapsed, 1.5, "fock_state on 64 vectors of tree n=3000 and all 4096 of tree n=12")

@@ -33,6 +33,12 @@ def test_known_bk_requires_power_of_two(capsys):
     assert code == 2 and "power of 2" in err
 
 
+@pytest.mark.parametrize("name", ["jw", "bk", "parity"])
+def test_known_rejects_zero_modes(capsys, name):
+    code, out, err = run(capsys, "known", "--name", name, "--n", "0")
+    assert code == 2 and out == "" and "n must be positive" in err
+
+
 def test_tree_mapping_pairings(tmp_path, capsys):
     tree_file = tmp_path / "t.tree"
     tree_file.write_text("(0 X=(1) Y=(2 Z=(3)) Z=(4))")

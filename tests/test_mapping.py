@@ -1,5 +1,7 @@
 """Mapping validation, vacua, Fock states and ladder-operator transforms."""
 
+import itertools
+import pickle
 import random
 from fractions import Fraction
 
@@ -99,7 +101,8 @@ def perturbed_mappings(draw):
     if kind == "bravyi_kitaev":
         m = mapping.named_mapping(kind, draw(st.sampled_from((1, 2, 4, 8))))
     elif kind == "jordan_wigner":
-        m = mapping.jordan_wigner(draw(st.integers(0, 12)))
+        n = draw(st.integers(0, 12))
+        m = mapping.jordan_wigner(n) if n else FermionQubitMapping(0, ())
     else:
         n = draw(st.integers(1, 12))
         m = (mapping.named_mapping(kind, n) if kind == "parity"
@@ -183,6 +186,53 @@ def test_vacuum_inconsistent_signs_raise(n):
     assert [str(s) for s in mapping.vacuum_stabilizers(m)[:2]] == ["+1 Z0", "-1 Z0"]
     with pytest.raises(ValueError, match="inconsistent signs"):
         mapping.vacuum_state(m)
+
+
+def _count_solves(monkeypatch) -> list:
+    """Record every vacuum solve; each one starts by forming the stabilizers."""
+    solves = []
+    stabilizers = mapping.vacuum_stabilizers
+
+    def counted(m):
+        solves.append(m)
+        return stabilizers(m)
+
+    monkeypatch.setattr(mapping, "vacuum_stabilizers", counted)
+    return solves
+
+
+def test_vacuum_is_solved_once_per_mapping_object(monkeypatch):
+    from fermap import encoding
+
+    solves = _count_solves(monkeypatch)
+    m = ttree.canonical_mapping(ttree.random_tree(6, 3))
+    states = [mapping.fock_state(m, f) for f in range(1 << m.n)]
+    assert mapping.vacuum_state(m) == states[0] == pauli.computational_state(6, 0)
+    assert isinstance(encoding.detect_classical(m), encoding.AffineEncoding)
+    assert len(solves) == 1
+    fresh = ttree.canonical_mapping(ttree.random_tree(6, 3))
+    assert fresh == m and fresh is not m
+    assert mapping.fock_state(fresh, 0b101) == states[0b101]
+    assert len(solves) == 2
+
+
+def test_vacuum_memo_keeps_equality_hash_repr_and_pickle():
+    m = ttree.braided_real_pairing(ttree.random_tree(5, 2))
+    vac = mapping.vacuum_state(m)
+    fresh = ttree.braided_real_pairing(ttree.random_tree(5, 2))
+    assert m == fresh and hash(m) == hash(fresh) and repr(m) == repr(fresh)
+    copy = pickle.loads(pickle.dumps(m))
+    assert copy == m == fresh and mapping.vacuum_state(copy) == vac
+
+
+def test_vacuum_error_is_raised_again(monkeypatch):
+    solves = _count_solves(monkeypatch)
+    x0, y0 = pauli.parse_pauli("+1 X0", 2), pauli.parse_pauli("+1 Y0", 2)
+    m = FermionQubitMapping(2, ((x0, y0), (y0, x0)))
+    for _ in range(2):
+        with pytest.raises(ValueError, match="inconsistent signs"):
+            mapping.vacuum_state(m)
+    assert len(solves) == 2
 
 
 def test_solve_sign_system_matches_exhaustive_search():
@@ -291,6 +341,52 @@ def test_annihilation_squares_to_zero():
         for i in range(m.n):
             a = mapping.annihilation(m, i)
             assert (a * a).is_zero()
+
+
+_I_POWERS = tuple((Fraction(re), Fraction(im)) for re, im in ((1, 0), (0, 1), (-1, 0), (0, -1)))
+
+
+def _reference_from_terms(n, terms):
+    """PauliSum.from_terms folding i^k by a complex product with (Fraction) i^k."""
+    acc = {}
+    for coeff, op in terms:
+        folded = mapping._cmul(coeff, _I_POWERS[op.display_power()])
+        old = acc.get((op.x, op.z), (Fraction(0), Fraction(0)))
+        acc[(op.x, op.z)] = (old[0] + folded[0], old[1] + folded[1])
+    out = [(c, PauliString(n, x, z, (x & z).bit_count())) for (x, z), c in sorted(acc.items()) if c != (0, 0)]
+    return mapping.PauliSum(n, tuple(out))
+
+
+def test_pauli_sum_fold_matches_complex_product_reference(monkeypatch):
+    t = ttree.random_tree(4, 5)
+    cases = [
+        mapping.jordan_wigner(3),
+        mapping.named_mapping("bravyi_kitaev", 4),
+        mapping.named_mapping("parity", 3),
+        ttree.canonical_mapping(t),
+        ttree.braided_real_pairing(t),
+    ]
+
+    def transforms():
+        out = []
+        for m in cases:
+            letters = [(i, dagger) for i in range(m.n) for dagger in (False, True)]
+            for k in range(3):
+                out += [repr(mapping.transform_ladder_term(m, w)) for w in itertools.product(letters, repeat=k)]
+        return out
+
+    got = transforms()
+    monkeypatch.setattr(mapping.PauliSum, "from_terms", staticmethod(_reference_from_terms))
+    assert got == transforms()
+
+
+def test_pauli_sum_int_coefficients_become_fractions():
+    ops = [pauli.parse_pauli(text, 2) for text in ("+1 X0", "+i Z1", "-1 Y0 Y1", "-i X0", "+1 Z1")]
+    coeffs = [(1, 0), (0, -1), (2, 3), (0, -1), (Fraction(1, 2), -1)]
+    terms = list(zip(coeffs, ops))
+    got = mapping.PauliSum.from_terms(2, terms)
+    assert got == _reference_from_terms(2, terms) and len(got.terms) == 2
+    assert all(type(part) is Fraction for c, _ in got.terms for part in c)
 
 
 def test_number_operator_jw():
