@@ -209,9 +209,7 @@ def random_invertible(n: int, seed: int) -> BinMatrix:
 
 def format_matrix(g: BinMatrix) -> str:
     """n lines of n characters from {0,1}, row-major, newline-terminated."""
-    return "".join(
-        "".join(str((row >> j) & 1) for j in range(g.n)) + "\n" for row in g.rows
-    )
+    return "".join(format(row, f"0{g.n}b")[::-1] + "\n" for row in g.rows)
 
 
 def parse_matrix(text: str) -> BinMatrix:
@@ -220,7 +218,7 @@ def parse_matrix(text: str) -> BinMatrix:
     rows = []
     for ln in lines:
         ln = ln.strip()
-        if len(ln) != n or any(c not in "01" for c in ln):
+        if len(ln) != n or ln.strip("01"):  # only 0s and 1s
             raise ValueError(f"bad matrix row {ln!r}")
-        rows.append(sum((1 << j) for j, c in enumerate(ln) if c == "1"))
+        rows.append(int(ln[::-1], 2))
     return BinMatrix(n, tuple(rows))

@@ -335,6 +335,8 @@ def parse_mapping(text: str) -> FermionQubitMapping:
     if not pauli.is_index(lines[0][2:]):
         raise ValueError(f"mapping header must be n=<N> with N a plain decimal: {lines[0]!r}")
     n = int(lines[0][2:])
+    if n == 0:
+        raise ValueError("n must be positive")
     if len(lines) != n + 1:
         raise ValueError(f"expected {n} pair lines, found {len(lines) - 1}")
     pairs = []

@@ -9,15 +9,15 @@ confirms it on a second fixed probe vector, and from then on applies the
 operator as one numpy scatter.  Fock sweeps stream each state as its
 support and amplitudes (idx, amp), so applying an operator is one gather
 and a computational-basis state costs a few numpy calls whatever n; a
-sweep holds only the states on the way to the current one, and a state is
-densified only where a check fails.  Every check measures a failure
-against the one tolerance TOL.  The vacuum stabilizers
-S_i = -i G_2i G_2i+1 are composed from their pair's two signed
-permutations, so each Majorana is read once per check.  The module
-deliberately shares no code with the symplectic fast paths so that
-agreement between the two is meaningful evidence.  Amplitude index
-convention: qubit 0 is the most significant bit, so |f_0 f_1 ... f_{n-1}>
-sits at index sum f_j 2^{n-1-j}.
+sweep holds only the states on the way to the current one.  For a valid
+mapping every amplitude stays in {0, +-1, +-i} (see `verify_fock_basis`),
+so every check decides by exact equality, and a state is normalized only
+where it leaves the module.  The vacuum stabilizers S_i = -i G_2i G_2i+1
+are composed from their pair's two signed permutations, so each Majorana
+is read once per check.  The module deliberately shares no code with the
+symplectic fast paths so that agreement between the two is meaningful
+evidence.  Amplitude index convention: qubit 0 is the most significant
+bit, so |f_0 f_1 ... f_{n-1}> sits at index sum f_j 2^{n-1-j}.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .pauli import PauliString
 if TYPE_CHECKING:  # pragma: no cover
     from .mapping import FermionQubitMapping
 
-TOL = 1e-9
 DENSE_LIMIT = 14  # largest n whose 2^n-amplitude vacuum the oracle builds
 EXHAUSTIVE_LIMIT = 10  # largest n that the exhaustive checks and sweeps accept
 
@@ -84,7 +83,7 @@ def _action(n: int, op: Callable[[DenseState], DenseState]) -> Action:
     The tag vector w_b = b + 1 marks e_b by its magnitude, so ``op(w)`` must
     hold every magnitude 1..2^n exactly once, and the one at index k names
     the e_b that went there; exact magnitudes make every coefficient unit
-    modulus.  A second fixed probe with complex amplitudes confirms that
+    modulus.  A second fixed Gaussian-integer probe confirms exactly that
     ``op`` acts as that signed permutation on a general state.
     """
     tags = np.arange(1, (1 << n) + 1, dtype=float)
@@ -93,11 +92,8 @@ def _action(n: int, op: Callable[[DenseState], DenseState]) -> Action:
     perm = np.argsort(mags)
     # divide part by part: complex division by a real would round +-1 and +-i
     coeff = image.real[perm] / tags + 1j * (image.imag[perm] / tags)
-    probe = np.exp(1j * tags)
-    if (
-        not np.array_equal(mags[perm], tags)
-        or np.abs(_apply((perm, coeff), probe) - op(probe)).max() > TOL
-    ):
+    probe = tags + 1j * tags[::-1]
+    if not np.array_equal(mags[perm], tags) or not np.array_equal(_apply((perm, coeff), probe), op(probe)):
         raise AssertionError("pauli action is not a signed permutation")
     return perm, coeff
 
@@ -140,11 +136,11 @@ def check_car(m: "FermionQubitMapping") -> CarReport | None:
         if np.any(perm[perm] != ident):
             return CarReport("square", i, None, 1.0)
         dev = float(np.abs(coeff * coeff[perm] - 1.0).max())
-        if dev > TOL:
+        if dev:
             return CarReport("square", i, None, dev)
         # Hermiticity: <a|G|b> = conj(<b|G|a>)
         dev = float(np.abs(coeff[perm] - coeff.conj()).max())
-        if dev > TOL:
+        if dev:
             return CarReport("hermiticity", i, None, dev)
     for i in range(len(actions)):
         pi, ci = actions[i]
@@ -157,7 +153,7 @@ def check_car(m: "FermionQubitMapping") -> CarReport | None:
                 same, np.abs(comp_ij + comp_ji), np.maximum(np.abs(comp_ij), np.abs(comp_ji))
             )
             dev = float(dev_arr.max())
-            if dev > TOL:
+            if dev:
                 return CarReport("anticommutator", i, j, dev)
     return None
 
@@ -185,14 +181,18 @@ def _pair_actions(m: "FermionQubitMapping") -> tuple[Action, Action]:
 def dense_vacuum(m: "FermionQubitMapping") -> DenseState:
     """Normalized simultaneous +1-eigenstate of the vacuum stabilizers.
 
-    Applies the projector product prod_i (1 + S_i)/2 to computational basis
-    vectors in lexicographic order until a nonzero image appears; the global
-    phase is fixed by making the first nonzero amplitude real positive.
+    The global phase makes the first nonzero amplitude real positive.
     """
-    return _vacuum(m.n, _pair_actions(m)[1])
+    vac = _vacuum(m.n, _pair_actions(m)[1])
+    return vac / np.linalg.norm(vac)
 
 
 def _vacuum(n: int, stabilizers: Action) -> DenseState:
+    """The vacuum, scaled so that its first nonzero amplitude is 1.
+
+    Applies prod_i (1 + S_i)/2 to computational basis vectors in
+    lexicographic order until a nonzero image appears.
+    """
     dim = 1 << n
     for b in range(dim):
         psi = np.zeros(dim, dtype=complex)
@@ -201,18 +201,15 @@ def _vacuum(n: int, stabilizers: Action) -> DenseState:
             psi = (psi + _apply(s, psi)) / 2.0
             if not psi.any():  # every later projector keeps it 0
                 break
-        norm = np.linalg.norm(psi)
-        if norm > TOL:
-            psi /= norm
-            first = np.flatnonzero(np.abs(psi) > TOL)[0]
-            psi *= np.abs(psi[first]) / psi[first]
-            return psi
+        else:
+            return psi / psi[np.flatnonzero(psi)[0]]
     raise ValueError("no joint +1-eigenstate found: inconsistent stabilizers")
 
 
 def _densify(n: int, idx: np.ndarray, amp: np.ndarray) -> DenseState:
+    """The normalized dense vector of a streamed state."""
     psi = np.zeros(1 << n, dtype=complex)
-    psi[idx] = amp
+    psi[idx] = amp / np.linalg.norm(amp)
     return psi
 
 
@@ -237,9 +234,8 @@ def _fock_states(
     |f_m> applies the occupied modes' even Majoranas, the rows of ``evens``,
     to the vacuum, highest first, and the Majorana with signed permutation
     (perm, coeff) sends (idx, amp) to (perm[idx], coeff[idx] * amp).  The
-    vacuum's zeros are exact (unit coefficients, dyadic projections), so its
-    support is read off once and every state of a computational vacuum has
-    support 1.
+    vacuum's zeros are exact, so its support is read off once and every
+    state of a computational vacuum has support 1.
 
     ``chain`` holds (g, idx, amp) for the growing top parts g of the last f,
     from g = 0 to g = f: at most n + 1 states.  The next f keeps the entries
@@ -279,20 +275,21 @@ class FockReport:
 def verify_fock_basis(m: "FermionQubitMapping") -> FockReport | None:
     """Check that each |f_m> is a ((-1)^{f_i})-eigenstate of the i-th vacuum stabilizer.
 
-    Exhaustive over f, for n <= EXHAUSTIVE_LIMIT.  A pass also certifies
-    that the Fock basis is orthonormal.  Every |f_m> is a unitary image of
-    the unit vacuum, so it has norm 1.  For f != g some S_i wants opposite
-    eigenvalues s and -s; write S_i|f_m> = s|f_m> + u and
-    S_i|g_m> = -s|g_m> + v with |u|, |v| <= TOL.  S_i is a signed
-    permutation, hence unitary, so <f_m|g_m> = <S_i f_m|S_i g_m>
-    = -<f_m|g_m> + s<f_m|v> - s<u|g_m> + <u|v>, and
-    |<f_m|g_m>| <= TOL + TOL^2/2.
+    Exhaustive over f, for n <= EXHAUSTIVE_LIMIT, and exact.  Each S_i is a
+    signed permutation with unit coefficients, and for commuting Hermitian
+    S_i the projected vacuum's amplitudes are units times one 2^-k
+    (Aaronson & Gottesman 2004), so the unit vacuum and every streamed
+    state have amplitudes in {0, +-1, +-i} and no product or comparison
+    rounds.  A pass certifies an orthonormal Fock basis: every |f_m> has
+    the vacuum's norm, and for f != g some unitary S_i has the exact
+    eigenvalues s on |f_m> and -s on |g_m>, so
+    <f_m|g_m> = <S_i f_m|S_i g_m> = -<f_m|g_m> = 0.
 
     All n eigenvalues of a state are checked at once on its support: S_i
     sends amp[j] at idx[j] to coeffs[i, idx[j]] * amp[j] at perms[i, idx[j]],
     which must be the support index at position at[i, j] and equal
-    (-1)^{f_i} * amp[at[i, j]].  An exact match has deviation 0; any other
-    state is densified and each deviation is measured on the dense vector.
+    (-1)^{f_i} * amp[at[i, j]].  The first failing stabilizer of the first
+    failing state is measured on the state's normalized dense vector.
     """
     if m.n > EXHAUSTIVE_LIMIT:
         raise ValueError(f"dense Fock-basis check limited to n <= {EXHAUSTIVE_LIMIT}")
@@ -306,15 +303,13 @@ def verify_fock_basis(m: "FermionQubitMapping") -> FockReport | None:
         pos[idx] = np.arange(len(idx))
         at = pos[perms[:, idx]]
         pos[idx] = -1
-        exact = (at >= 0).all() and (coeffs[:, idx] * amp == wants[f][:, None] * amp[at]).all()
-        if exact:
+        matched = coeffs[:, idx] * amp == wants[f][:, None] * amp[at]
+        if (at >= 0).all() and matched.all():
             continue
-        psi = _densify(n, idx, amp)
-        for i, s in enumerate(zip(perms, coeffs)):
-            want = (-1.0) ** ((f >> i) & 1)
-            dev = float(np.linalg.norm(_apply(s, psi) - want * psi))
-            if dev > TOL:
-                return FockReport(f"stabilizer {i} eigenvalue is not {want:+.0f}", f, dev)
+        i = int(np.argmin(((at >= 0) & matched).all(axis=1)))  # the first stabilizer that fails
+        psi, want = _densify(n, idx, amp), float(wants[f, i])
+        dev = float(np.linalg.norm(_apply((perms[i], coeffs[i]), psi) - want * psi))
+        return FockReport(f"stabilizer {i} eigenvalue is not {want:+.0f}", f, dev)
     return None
 
 
@@ -343,8 +338,8 @@ def verify_affine(m: "FermionQubitMapping", enc) -> FockReport | None:
 def _verify_encoded(m, rows, b, subset, reason) -> FockReport | None:
     """Compare each |f_m> with the basis vector |G(f xor b)>, G given by rows.
 
-    A state that is exactly +1 at that index, and zero elsewhere, has
-    deviation 0; any other is densified and measured against it.
+    A state must be exactly +1 at that index and zero elsewhere; the first
+    that is not is normalized and measured against it.
     """
     n = m.n
     evens, stabilizers = _pair_actions(m)
@@ -356,7 +351,5 @@ def _verify_encoded(m, rows, b, subset, reason) -> FockReport | None:
             continue
         expected = np.zeros(1 << n, dtype=complex)
         expected[k] = 1.0
-        dev = float(np.linalg.norm(_densify(n, idx, amp) - expected))
-        if dev > TOL:
-            return FockReport(reason, f, dev)
+        return FockReport(reason, f, float(np.linalg.norm(_densify(n, idx, amp) - expected)))
     return None

@@ -39,6 +39,15 @@ def test_known_rejects_zero_modes(capsys, name):
     assert code == 2 and out == "" and "n must be positive" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "weights", "dot", "classify2", "transform"])
+def test_zero_mode_mapping_file_is_an_input_error(tmp_path, capsys, command):
+    path = tmp_path / "m.map"
+    path.write_text("n=0\n")
+    extra = ["--term", "a 0"] if command == "transform" else []
+    code, out, err = run(capsys, command, "--mapping", str(path), *extra)
+    assert code == 2 and out == "" and "n must be positive" in err
+
+
 def test_tree_mapping_pairings(tmp_path, capsys):
     tree_file = tmp_path / "t.tree"
     tree_file.write_text("(0 X=(1) Y=(2 Z=(3)) Z=(4))")

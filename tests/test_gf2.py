@@ -225,6 +225,9 @@ def test_parse_matrix_rejects_bad_rows():
         gf2.parse_matrix("10\n1\n")
     with pytest.raises(ValueError):
         gf2.parse_matrix("12\n01\n")
+    # int() alone would read "1_0" as 10
+    with pytest.raises(ValueError, match="bad matrix row"):
+        gf2.parse_matrix("1_0\n010\n001\n")
 
 
 def test_set_bits_sparse_and_dense():

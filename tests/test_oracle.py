@@ -266,6 +266,10 @@ def test_dense_fock_states_with_full_support_vacuum():
 
 # -- reference sweep: one dense state per f, one dense scatter per operator ---------
 
+# The reference measures each deviation on normalized dense states and, as the
+# oracle once did, passes any deviation up to this tolerance.
+REF_TOL = 1e-9
+
 
 def _reference_stabilizers(m):
     """Each S_i = -i G_2i G_2i+1 read directly from two apply_pauli passes, as rows."""
@@ -290,11 +294,12 @@ def _reference_verify_fock_basis(m):
     if m.n > 10:
         raise ValueError("dense Fock-basis check limited to n <= 10")
     stabilizers = _reference_stabilizers(m)
-    for f, psi in _reference_fock_states(m, oracle._vacuum(m.n, stabilizers), None):
+    vac = oracle._vacuum(m.n, stabilizers)
+    for f, psi in _reference_fock_states(m, vac / np.linalg.norm(vac), None):
         for i, s in enumerate(zip(*stabilizers)):
             want = (-1.0) ** ((f >> i) & 1)
             dev = float(np.linalg.norm(oracle._apply(s, psi) - want * psi))
-            if dev > oracle.TOL:
+            if dev > REF_TOL:
                 return oracle.FockReport(f"stabilizer {i} eigenvalue is not {want:+.0f}", f, dev)
     return None
 
@@ -306,7 +311,7 @@ def _reference_verify_encoded(m, rows, b, subset, reason):
         expected = np.zeros_like(psi)
         expected[oracle.bits_to_index(m.n, bits)] = 1.0
         dev = float(np.linalg.norm(psi - expected))
-        if dev > oracle.TOL:
+        if dev > REF_TOL:
             return oracle.FockReport(reason, f, dev)
     return None
 
@@ -393,19 +398,38 @@ def test_sweep_reports_match_dense_reference():
             assert got == want, (case, str(mm))
 
 
+def _unnormalized_sweep(m):
+    """(f, idx, amp) for every f, as the oracle streams them from its unit-amplitude vacuum."""
+    evens, stabilizers = oracle._pair_actions(m)
+    return oracle._fock_states(evens, oracle._vacuum(m.n, stabilizers), None)
+
+
 def test_passing_eigenvalues_certify_an_orthonormal_basis():
-    """Whenever verify_fock_basis passes, the dense Gram matrix is within TOL + TOL^2/2 of I."""
-    tol = oracle.TOL
+    """Whenever verify_fock_basis passes, the unnormalized states' Gram matrix is exactly |support| I."""
     passed = 0
     for case, _, _, mm in _zoo():
         if _outcome(oracle.verify_fock_basis, mm) != "None":
             continue
         passed += 1
-        states = np.array([psi for _, psi in oracle.dense_fock_states(mm)])
+        dim = 1 << mm.n
+        states = np.zeros((dim, dim), dtype=complex)
+        for f, idx, amp in _unnormalized_sweep(mm):
+            states[f, idx] = amp
         gram = states.conj() @ states.T
-        dev = np.abs(gram - np.eye(len(states))).max()
-        assert dev <= tol + tol**2 / 2, (case, str(mm), dev)
+        assert np.array_equal(gram, len(idx) * np.eye(dim)), (case, str(mm))
     assert passed >= 60  # every valid mapping, and any perturbation that stays valid
+
+
+def test_sweep_amplitudes_of_valid_mappings_are_units():
+    """The exact checks rest on this: every streamed amplitude of a valid mapping is +-1 or +-i."""
+    valid = 0
+    for case, _, _, mm in _zoo():
+        if mapping.validate(mm) is not None:
+            continue
+        valid += 1
+        for f, _, amp in _unnormalized_sweep(mm):
+            assert np.isin(amp, (1, -1, 1j, -1j)).all(), (case, f, str(mm))
+    assert valid >= 60
 
 
 def test_composed_stabilizers_match_direct_reading():
@@ -449,7 +473,14 @@ def _imported_parts(module):
 
 
 def test_oracle_shares_no_code_with_gf2_or_encoding():
+    """The oracle imports no symbolic fast path, binds no TOL, and compares against no tolerance."""
     assert not _imported_parts(oracle) & {"gf2", "encoding"}
+    for node in ast.walk(ast.parse(inspect.getsource(oracle))):
+        assert not (isinstance(node, ast.Name) and node.id == "TOL" and isinstance(node.ctx, ast.Store))
+        if isinstance(node, ast.Compare):
+            for operand in (node.left, *node.comparators):
+                is_float = isinstance(operand, ast.Constant) and isinstance(operand.value, float)
+                assert not is_float or operand.value in (0.0, 1.0), ast.unparse(node)
 
 
 def test_symbolic_modules_do_not_import_oracle():
